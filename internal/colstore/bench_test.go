@@ -77,26 +77,32 @@ func BenchmarkAggregate2PredSum(b *testing.B) {
 }
 
 // BenchmarkAggregate2PredCount: with masks, a predicated count never
-// touches the target column at all.
+// touches the target column at all. The 1pred cases run the single
+// predicate of the conjunction alone.
 func BenchmarkAggregate2PredCount(b *testing.B) {
 	const rows = 1 << 18
 	table := benchTable(b, rows, 16)
 	defer table.Free()
 	preds := selPreds(0.50, 16)
-	b.Run("masked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := table.Aggregate(Count, "v", preds...); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		preds []Pred
+	}{{"", preds}, {"1pred/", preds[:1]}} {
+		b.Run(c.name+"masked", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := table.Aggregate(Count, "v", c.preds...); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("perrow", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := table.aggregateScalar(Count, "v", preds...); err != nil {
-				b.Fatal(err)
+		})
+		b.Run(c.name+"perrow", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := table.aggregateScalar(Count, "v", c.preds...); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // benchGroupTable adds a narrow key column (dense path) to the bench

@@ -517,8 +517,9 @@ func TestQuickAggregate(t *testing.T) {
 	}
 }
 
-// TestAggregateFastPathsMatchGeneralScan pins the fused fast paths (no
-// predicates; one predicate + COUNT) to the per-row reference.
+// TestAggregateFastPathsMatchGeneralScan pins the unpredicated aggregates
+// (schema count, zone-root min/max, full-table sum) and the
+// single-predicate count to values computed directly from the data.
 func TestAggregateFastPathsMatchGeneralScan(t *testing.T) {
 	f := newFixture(t, 20_000, memsim.Interleaved)
 	var wantSum uint64

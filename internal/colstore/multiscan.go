@@ -1,14 +1,14 @@
-// Multi-consumer scans: the cooperative kernel under the query service's
-// shared-scan coordinator. One parallel pass over a row range advances N
-// enrolled queries at once — each batch is decoded once per predicate
-// signature (the mask pipeline runs through the same chunk-codec dispatch
-// and zone pruning as Aggregate), then every enrolled query folds the
-// surviving rows into its own per-worker accumulators. The states are
-// long-lived: a coordinator drives them segment by segment, so a query
-// can attach at the current cursor and complete after a full wraparound
-// (Crescando-style circular scan) while the per-batch work stays
-// identical to the single-query pipeline — which is what makes shared
-// results bit-identical to independent execution.
+// The scan pipeline: every scanned Aggregate/GroupBy, independent or
+// shared. One parallel pass over a row range advances N queries at once —
+// each batch is decoded once per predicate signature (mask build through
+// the chunk-codec dispatch and zone pruning), then every query folds the
+// surviving rows into its own per-worker accumulators. Aggregate and
+// GroupBy are the single-consumer case; the query service's shared-scan
+// coordinator drives long-lived states segment by segment, so a query can
+// attach at the current cursor and complete after a full wraparound
+// (Crescando-style circular scan). Both run the same per-batch code, so
+// shared results are bit-identical to independent execution by
+// construction.
 package colstore
 
 import (
@@ -323,7 +323,7 @@ func (t *Table) ScanRange(lo, hi uint64, states []*ScanState) {
 			if profiled[gi] {
 				counts = countScratch(&t.pscratch[w.ID], len(lead.preds))
 			}
-			live := buildMasksCounted(w, blo, bhi, lead.predCols, lead.preds, masks, counts)
+			live := buildMasks(w, blo, bhi, lead.predCols, lead.preds, masks, counts)
 			if counts != nil {
 				// One decode, N attributions: every profiled member
 				// logically consumed the shared mask build.
@@ -399,7 +399,7 @@ func (s *ScanState) foldAll(w *rts.Worker, lo, hi uint64) {
 }
 
 // foldMasked folds the batch's surviving rows under the shared selection
-// bitmap — the same popcount + masked fused fold Aggregate runs.
+// bitmap: a popcount for the count, masked fused folds for the rest.
 func (s *ScanState) foldMasked(w *rts.Worker, lo, hi uint64, masks []uint64) {
 	if s.prof != nil {
 		row := s.profRow(w.ID)
@@ -449,6 +449,14 @@ func (s *ScanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64) {
 			}
 			s.denseStates[w.ID] = st
 		}
+		if masks == nil {
+			// Looped directly: calling add per row measured ~15% slower
+			// on an unpredicated dense GroupBy.
+			for row := lo; row < hi; row++ {
+				st[keyView.Get(row)].add(targetView.Get(row))
+			}
+			return
+		}
 		add = func(row uint64) {
 			st[keyView.Get(row)].add(targetView.Get(row))
 		}
@@ -479,9 +487,8 @@ func (s *ScanState) foldRows(w *rts.Worker, lo, hi uint64, masks []uint64) {
 }
 
 // Result merges the per-worker accumulators into the final answer. Call
-// once, after the state has covered every row exactly once; the merge
-// mirrors Aggregate/GroupBy, so the answer is bit-identical to
-// independent execution regardless of segment order.
+// once, after the state has covered every row exactly once; the folds
+// commute, so the answer does not depend on segment order.
 func (s *ScanState) Result() ScanResult {
 	if !s.grouped {
 		total := newAggState(s.agg)
@@ -527,8 +534,7 @@ func (s *ScanState) Result() ScanResult {
 
 // MultiScan runs queries as one cooperative pass over the whole table
 // and returns their results in order — the one-shot form of the
-// state/range API, used by tests and benchmarks to pin the shared pass
-// against independent Aggregate/GroupBy execution.
+// state/range API, used by tests and benchmarks.
 func (t *Table) MultiScan(queries []ScanQuery) ([]ScanResult, error) {
 	states := make([]*ScanState, len(queries))
 	for i, q := range queries {

@@ -28,31 +28,33 @@ func multiScanQueries() []ScanQuery {
 	}
 }
 
-// checkAgainstIndependent asserts every MultiScan answer is bit-identical
-// to the query's independent Aggregate/GroupBy execution.
-func checkAgainstIndependent(t *testing.T, tbl *Table, queries []ScanQuery, results []ScanResult) {
+// checkAgainstScalar asserts every scan answer is bit-identical to the
+// query's per-row scalar reference. Independent Aggregate/GroupBy run the
+// same ScanState pipeline as shared scans, so only the references are an
+// independent oracle.
+func checkAgainstScalar(t *testing.T, tbl *Table, queries []ScanQuery, results []ScanResult) {
 	t.Helper()
 	for i, q := range queries {
 		if q.Key == "" {
-			want, err := tbl.Aggregate(q.Agg, q.Column, q.Preds...)
+			want, err := tbl.aggregateScalar(q.Agg, q.Column, q.Preds...)
 			if err != nil {
-				t.Fatalf("query %d: independent Aggregate: %v", i, err)
+				t.Fatalf("query %d: aggregateScalar: %v", i, err)
 			}
 			if results[i].Value != want {
-				t.Errorf("query %d: shared %d, independent %d", i, results[i].Value, want)
+				t.Errorf("query %d %+v: got %d, scalar %d", i, q, results[i].Value, want)
 			}
 			continue
 		}
-		want, err := tbl.GroupBy(q.Key, q.Agg, q.Column, q.Preds...)
+		want, err := tbl.groupByScalar(q.Key, q.Agg, q.Column, q.Preds...)
 		if err != nil {
-			t.Fatalf("query %d: independent GroupBy: %v", i, err)
+			t.Fatalf("query %d: groupByScalar: %v", i, err)
 		}
 		if len(results[i].Groups) != len(want) {
-			t.Fatalf("query %d: %d groups, independent %d", i, len(results[i].Groups), len(want))
+			t.Fatalf("query %d %+v: %d groups, scalar %d", i, q, len(results[i].Groups), len(want))
 		}
 		for g := range want {
 			if results[i].Groups[g] != want[g] {
-				t.Errorf("query %d group %d: shared %+v, independent %+v", i, g, results[i].Groups[g], want[g])
+				t.Errorf("query %d %+v group %d: got %+v, scalar %+v", i, q, g, results[i].Groups[g], want[g])
 			}
 		}
 	}
@@ -65,12 +67,12 @@ func TestMultiScanMatchesIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstIndependent(t, f.table, queries, results)
+	checkAgainstScalar(t, f.table, queries, results)
 }
 
 // TestMultiScanAcrossCodecs re-encodes the predicate and payload columns
 // through every representation and asserts the cooperative pass stays
-// bit-identical to independent execution under each codec.
+// bit-identical to the scalar reference under each codec.
 func TestMultiScanAcrossCodecs(t *testing.T) {
 	queries := multiScanQueries()
 	for _, kind := range encoding.Kinds {
@@ -85,7 +87,7 @@ func TestMultiScanAcrossCodecs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstIndependent(t, f.table, queries, results)
+			checkAgainstScalar(t, f.table, queries, results)
 		})
 	}
 }
@@ -119,7 +121,7 @@ func TestScanRangeSegmentedRotation(t *testing.T) {
 		for i, st := range states {
 			results[i] = st.Result()
 		}
-		checkAgainstIndependent(t, f.table, queries, results)
+		checkAgainstScalar(t, f.table, queries, results)
 	}
 }
 

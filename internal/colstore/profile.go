@@ -1,74 +1,19 @@
-// Per-query scan profiling for the table kernels. When the runtime view
-// a scan runs through carries a query profile (rts.Runtime.WithProfile),
-// Aggregate/GroupBy/ScanRange route their chunk work through the counted
-// core kernels and accumulate per-column ScanCounts in per-worker rows —
-// the same owner-writes/fold-at-barrier discipline as the counter shards,
-// so profiling adds no locks or shared atomics to the batch hot path.
-// After the loop barrier the rows fold into obs.ColumnProfile entries:
-// codec kind, chunks scanned vs pruned, and payload bytes attributed
-// pro-rata to the decoded chunks.
+// Per-query scan profiling for the table kernels. A profiled ScanState
+// (ScanState.EnableProfile — Aggregate/GroupBy enable it when the runtime
+// view carries a query profile, rts.Runtime.WithProfile) routes its chunk
+// work through the counted core kernels and accumulates per-column
+// ScanCounts in per-worker rows — the same owner-writes/fold-at-barrier
+// discipline as the counter shards, so profiling adds no locks or shared
+// atomics to the batch hot path. FoldProfile renders the rows as
+// obs.ColumnProfile entries: codec kind, chunks scanned vs pruned, and
+// payload bytes attributed pro-rata to the decoded chunks.
 package colstore
 
 import (
 	"smartarrays/internal/bitpack"
 	"smartarrays/internal/core"
 	"smartarrays/internal/obs"
-	"smartarrays/internal/rts"
 )
-
-// profSlot names one profiled column and the role it plays in the scan.
-type profSlot struct {
-	col  *Column
-	role string
-}
-
-// scanProfiler is the per-query accounting for one Aggregate/GroupBy
-// call: one ScanCounts slot per (column, role), one row per worker,
-// rows allocated lazily on a worker's first batch. A nil *scanProfiler
-// is inert, so call sites stay branch-only when the query is unsampled.
-type scanProfiler struct {
-	prof  *obs.QueryProfile
-	slots []profSlot
-	rows  [][]core.ScanCounts
-}
-
-func newScanProfiler(prof *obs.QueryProfile, workers int, slots ...profSlot) *scanProfiler {
-	if prof == nil {
-		return nil
-	}
-	return &scanProfiler{prof: prof, slots: slots, rows: make([][]core.ScanCounts, workers)}
-}
-
-// row returns worker wid's counts, allocating on first use. Only the
-// owning worker touches its row; the post-barrier fold reads them all.
-func (sp *scanProfiler) row(wid int) []core.ScanCounts {
-	r := sp.rows[wid]
-	if r == nil {
-		r = make([]core.ScanCounts, len(sp.slots))
-		sp.rows[wid] = r
-	}
-	return r
-}
-
-// fold merges the per-worker rows and appends one ColumnProfile per
-// slot to the query profile. Call after the loop barrier. Nil-safe.
-func (sp *scanProfiler) fold() {
-	if sp == nil {
-		return
-	}
-	totals := make([]core.ScanCounts, len(sp.slots))
-	for _, r := range sp.rows {
-		if r == nil {
-			continue
-		}
-		for i := range totals {
-			totals[i].Add(r[i])
-		}
-	}
-	for i, slot := range sp.slots {
-		sp.prof.AddColumn(columnProfile(slot.col, slot.role, totals[i]))
-	}
-}
 
 // columnProfile renders one column's accounting. BytesDecoded charges
 // the column's packed payload pro-rata per scanned chunk — exact for
@@ -114,47 +59,4 @@ func accountMasked(sc *core.ScanCounts, masks []uint64) {
 	dead := bitpack.ZeroMasks(masks)
 	sc.Scanned += uint64(len(masks)) - dead
 	sc.Pruned += dead
-}
-
-// buildMasksCounted is buildMasks with per-predicate accounting:
-// counts[i] (when counts is non-nil) accumulates predicate i's chunk
-// counts in evaluation order. Chunks a predicate never saw because the
-// conjunction died earlier count as pruned for the remaining
-// predicates, preserving scanned+pruned == chunks per column.
-func buildMasksCounted(w *rts.Worker, lo, hi uint64, predCols []*Column, preds []Pred, masks []uint64, counts []core.ScanCounts) bool {
-	sc := func(i int) *core.ScanCounts {
-		if counts == nil {
-			return nil
-		}
-		return &counts[i]
-	}
-	live := core.MaskRangeCounted(predCols[0].arr, w.Socket, lo, hi, preds[0].Op.cmp(), preds[0].Value, masks, sc(0))
-	var prevHits uint64
-	prevKnown := predCols[0].arr.TelemetryID() != 0
-	if prevKnown {
-		prevHits = bitpack.PopcountMasks(masks)
-		predCols[0].arr.AccountPredicate(w.Counters, hi-lo, prevHits)
-	}
-	i := 1
-	for ; i < len(preds) && live; i++ {
-		tele := predCols[i].arr.TelemetryID() != 0
-		if tele && !prevKnown {
-			prevHits = bitpack.PopcountMasks(masks)
-		}
-		live = core.MaskRangeAndCounted(predCols[i].arr, w.Socket, lo, hi, preds[i].Op.cmp(), preds[i].Value, masks, sc(i))
-		if tele {
-			hits := bitpack.PopcountMasks(masks)
-			predCols[i].arr.AccountPredicate(w.Counters, prevHits, hits)
-			prevHits = hits
-		}
-		prevKnown = tele
-	}
-	if counts != nil {
-		// Predicates short-circuited by a dead conjunction never touched
-		// this batch's chunks: all pruned for them.
-		for ; i < len(preds); i++ {
-			counts[i].Pruned += uint64(len(masks))
-		}
-	}
-	return live
 }

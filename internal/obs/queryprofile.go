@@ -185,13 +185,20 @@ func (p *QueryProfile) NoteShared(mode string, segments int, wrap time.Duration)
 // treated as immutable. Finalize is idempotent: only the first call
 // wins, so an error path that finalized early is not overwritten.
 func (p *QueryProfile) Finalize(status string, httpStatus int) {
+	p.FinalizeAt(status, httpStatus, time.Now())
+}
+
+// FinalizeAt is Finalize with TotalNs ending at end rather than now — a
+// caller that timed its last stage passes that stage's closing clock
+// read, so the stages sum to TotalNs exactly.
+func (p *QueryProfile) FinalizeAt(status string, httpStatus int, end time.Time) {
 	if p == nil || !p.final.CompareAndSwap(false, true) {
 		return
 	}
 	p.mu.Lock()
 	p.Status = status
 	p.HTTPStatus = httpStatus
-	p.TotalNs = uint64(time.Since(p.start))
+	p.TotalNs = uint64(end.Sub(p.start))
 	p.Loops = p.loops.Load()
 	p.MorselsClaimed = p.claim.Load()
 	p.MorselsStolen = p.steal.Load()

@@ -40,13 +40,6 @@ func CostPrunedMaskedReduce(bits uint, foldShare float64) float64 {
 	return clampShare(foldShare) * CostMaskedReduce(bits)
 }
 
-// CostPrunedReduce prices an unmasked fold when the zone index answers
-// (1 - liveShare) of the chunks in O(1) — constant chunks for sums,
-// every chunk for min/max.
-func CostPrunedReduce(bits uint, liveShare float64) float64 {
-	return CostZoneCheckPerElem + clampShare(liveShare)*CostReduce(bits)
-}
-
 // CostEncodedPrunedMask is CostPrunedMask over an encoded representation.
 func CostEncodedPrunedMask(cs encoding.CostStats, resolvedShare float64) float64 {
 	return CostZoneCheckPerElem + (1-clampShare(resolvedShare))*CostEncodedMask(cs)

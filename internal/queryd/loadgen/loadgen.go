@@ -245,12 +245,6 @@ func fetchServerStats(addr string) (serverStats, error) {
 	return payload, nil
 }
 
-// FetchCacheStats reads the server's result-cache counters from /stats.
-func FetchCacheStats(addr string) (queryd.CacheStats, error) {
-	s, err := fetchServerStats(addr)
-	return s.Cache, err
-}
-
 // slowlogStats is the /debug/slowlog slice the harness diffs across a
 // run.
 type slowlogStats struct {

@@ -271,6 +271,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// qStart anchors the whole profile: TotalNs and the latency
 	// histogram both measure arrival to response.
 	qStart := time.Now()
+	// Profile stages tile the request: one clock read closes a stage and
+	// opens the next, and TotalNs ends at the last stage's close, so no
+	// time between stages goes unattributed (a goroutine preempted at a
+	// stage boundary charges the wait to the stage it was in).
+	var prof *obs.QueryProfile
+	mark := qStart
+	stage := func(name string) {
+		if prof == nil {
+			return
+		}
+		now := time.Now()
+		prof.Stage(name, now.Sub(mark))
+		mark = now
+	}
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, errors.New("queryd: POST a query JSON body"))
 		return
@@ -289,13 +303,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.failQuery(w, http.StatusBadRequest, err, qid, s.maybeProfile(snap.cfg, false, qid, qStart), "invalid", "", "", qStart)
 		return
 	}
-	prof := s.maybeProfile(snap.cfg, p.Explain, qid, qStart)
+	prof = s.maybeProfile(snap.cfg, p.Explain, qid, qStart)
 	if prof != nil {
 		prof.Op = string(p.Op)
 		prof.Dataset = p.Dataset
 		prof.Tenant = p.Tenant
 		prof.Plan = p.String()
-		prof.Stage("parse", time.Since(qStart))
+		stage("parse")
 	}
 	ds, err := snap.dataset(p.Dataset)
 	if err != nil {
@@ -319,7 +333,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			prof.Cache = obs.CacheOff
 		}
 	} else {
-		cacheStart := time.Now()
 		key, cacheable = cacheKey(snap, ds, p)
 		var result any
 		hit := false
@@ -335,7 +348,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			default:
 				prof.Cache = obs.CacheBypass
 			}
-			prof.Stage("cache", time.Since(cacheStart))
+			stage("cache")
 		}
 		if hit {
 			wall := time.Since(qStart)
@@ -344,7 +357,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				s.rec.Histogram(QueryHistogram + "." + string(p.Op)).Observe(uint64(wall.Nanoseconds()))
 			}
 			s.observeTenant(p.Tenant, string(p.Op), wall, false)
-			s.finishProfile(prof, "ok", http.StatusOK)
+			stage("finish")
+			s.finishProfile(prof, "ok", http.StatusOK, mark)
 			s.served.Add(1)
 			writeJSON(w, http.StatusOK, queryResponse{
 				Op:       string(p.Op),
@@ -362,9 +376,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	admitStart := time.Now()
 	if err := s.adm.Acquire(snap.cfg, p.Tenant, p.DeadlineMS); err != nil {
 		if prof != nil {
-			wait := time.Since(admitStart)
-			prof.QueueWaitNs = uint64(wait)
-			prof.Stage("admission", wait)
+			prof.QueueWaitNs = uint64(time.Since(admitStart))
+			stage("admission")
 		}
 		s.reject(w, snap.cfg, err, qid, prof, p, qStart)
 		return
@@ -375,7 +388,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if prof != nil {
 		prof.QueueWaitNs = uint64(queueWait)
-		prof.Stage("admission", queueWait)
+		stage("admission")
 	}
 	defer s.adm.ReleaseTenant(p.Tenant)
 	// releaseSlot frees the in-flight slot exactly once, reading the
@@ -395,11 +408,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	qrt := s.rt.WithPriority(snap.cfg.clampPriority(p.Priority))
 	ctx := obs.ContextWithProfile(r.Context(), prof)
-	execStart := time.Now()
 	result, shared, err := s.executeMaybeShared(ctx, snap, ds, p, qrt, releaseSlot)
-	if prof != nil {
-		prof.Stage("execute", time.Since(execStart))
-	}
+	stage("execute")
 	if err != nil {
 		// Post-admission failures are server-side: the plan validated but
 		// execution rejected it (e.g. unknown column) — report 422 for
@@ -417,7 +427,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.rec.Histogram(QueryHistogram + "." + string(p.Op)).Observe(uint64(wall.Nanoseconds()))
 	}
 	s.observeTenant(p.Tenant, string(p.Op), wall, false)
-	s.finishProfile(prof, "ok", http.StatusOK)
+	stage("finish")
+	s.finishProfile(prof, "ok", http.StatusOK, mark)
 	s.served.Add(1)
 	resp := queryResponse{
 		Op:       string(p.Op),
@@ -448,13 +459,14 @@ func (s *Server) maybeProfile(cfg Config, explain bool, id uint64, start time.Ti
 	return obs.NewQueryProfileAt(id, start)
 }
 
-// finishProfile finalizes a profile and publishes it to the slow-query
-// log. Nil-safe: unsampled requests pay one branch.
-func (s *Server) finishProfile(prof *obs.QueryProfile, status string, httpStatus int) {
+// finishProfile finalizes a profile with TotalNs ending at end and
+// publishes it to the slow-query log. Nil-safe: unsampled requests pay
+// one branch.
+func (s *Server) finishProfile(prof *obs.QueryProfile, status string, httpStatus int, end time.Time) {
 	if prof == nil {
 		return
 	}
-	prof.Finalize(status, httpStatus)
+	prof.FinalizeAt(status, httpStatus, end)
 	s.slowlog.Observe(prof)
 }
 
@@ -480,7 +492,7 @@ func (s *Server) failQuery(w http.ResponseWriter, status int, err error, qid uin
 	if prof != nil {
 		prof.Error = err.Error()
 	}
-	s.finishProfile(prof, profStatus, status)
+	s.finishProfile(prof, profStatus, status, time.Now())
 	s.observeTenant(tenant, op, time.Since(start), true)
 	writeJSON(w, status, errorResponse{Error: err.Error(), QueryID: qid})
 }
@@ -567,7 +579,7 @@ func (s *Server) reject(w http.ResponseWriter, cfg Config, err error, qid uint64
 	if prof != nil {
 		prof.Error = err.Error()
 	}
-	s.finishProfile(prof, status, http.StatusTooManyRequests)
+	s.finishProfile(prof, status, http.StatusTooManyRequests, time.Now())
 	s.observeTenant(p.Tenant, string(p.Op), time.Since(start), true)
 	writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error(), QueryID: qid})
 }

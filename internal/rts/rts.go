@@ -566,30 +566,10 @@ func (r *Runtime) ReduceSum(begin, end uint64, grain int64, body func(w *Worker,
 	return total
 }
 
-// ReduceMin folds per-batch minima into per-worker partials and combines
-// them after the loop barrier. Like ReduceSum, each padded slot is written
-// only by its owning worker, so the reduction is synchronization-free and
-// immune to host-level false sharing.
-func (r *Runtime) ReduceMin(begin, end uint64, grain int64, body func(w *Worker, lo, hi uint64) uint64) uint64 {
-	partials := make([]paddedUint64, len(r.workers))
-	for i := range partials {
-		partials[i].v = ^uint64(0)
-	}
-	r.ParallelFor(begin, end, grain, func(w *Worker, lo, hi uint64) {
-		if v := body(w, lo, hi); v < partials[w.ID].v {
-			partials[w.ID].v = v
-		}
-	})
-	min := ^uint64(0)
-	for i := range partials {
-		if partials[i].v < min {
-			min = partials[i].v
-		}
-	}
-	return min
-}
-
-// ReduceMax is ReduceMin's dual, with identity 0.
+// ReduceMax folds per-batch maxima into per-worker partials and combines
+// them after the loop barrier, with identity 0. Like ReduceSum, each
+// padded slot is written only by its owning worker, so the reduction is
+// synchronization-free and immune to host-level false sharing.
 func (r *Runtime) ReduceMax(begin, end uint64, grain int64, body func(w *Worker, lo, hi uint64) uint64) uint64 {
 	partials := make([]paddedUint64, len(r.workers))
 	r.ParallelFor(begin, end, grain, func(w *Worker, lo, hi uint64) {

@@ -130,28 +130,16 @@ func TestReduceSumSingleBatch(t *testing.T) {
 	}
 }
 
-func TestReduceMinMax(t *testing.T) {
+func TestReduceMax(t *testing.T) {
 	r := New(machine.X52Large())
 	const n = 1 << 16
 	data := make([]uint64, n)
-	wantMin, wantMax := ^uint64(0), uint64(0)
+	wantMax := uint64(0)
 	for i := range data {
 		data[i] = uint64(i*2654435761) % (1 << 30)
-		if data[i] < wantMin {
-			wantMin = data[i]
-		}
 		if data[i] > wantMax {
 			wantMax = data[i]
 		}
-	}
-	rangeMin := func(w *Worker, lo, hi uint64) uint64 {
-		m := ^uint64(0)
-		for i := lo; i < hi; i++ {
-			if data[i] < m {
-				m = data[i]
-			}
-		}
-		return m
 	}
 	rangeMax := func(w *Worker, lo, hi uint64) uint64 {
 		var m uint64
@@ -162,16 +150,10 @@ func TestReduceMinMax(t *testing.T) {
 		}
 		return m
 	}
-	if got := r.ReduceMin(0, n, 2048, rangeMin); got != wantMin {
-		t.Errorf("ReduceMin = %d, want %d", got, wantMin)
-	}
 	if got := r.ReduceMax(0, n, 2048, rangeMax); got != wantMax {
 		t.Errorf("ReduceMax = %d, want %d", got, wantMax)
 	}
-	// Empty ranges return the fold identities.
-	if got := r.ReduceMin(5, 5, 0, rangeMin); got != ^uint64(0) {
-		t.Errorf("empty ReduceMin = %d", got)
-	}
+	// An empty range returns the fold identity.
 	if got := r.ReduceMax(5, 5, 0, rangeMax); got != 0 {
 		t.Errorf("empty ReduceMax = %d", got)
 	}
