@@ -46,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzJNIDispatch$$' -fuzztime $(FUZZTIME) ./internal/interop
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodingRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/encoding
+	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzScanRoutes$$' -fuzztime $(FUZZTIME) ./internal/colstore
 
 # Bench gate: regenerate the Figure 2 smoke report and diff its modeled

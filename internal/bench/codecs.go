@@ -189,7 +189,7 @@ func MeasureCodecScans(elements uint64, reps int) []CodecScanRow {
 			}
 			cc := enc.(encoding.ChunkCodec)
 			chunks := elements / bitpack.ChunkSize
-			fold := func() uint64 { return cc.SumChunks(0, chunks) }
+			fold := func() uint64 { return cc.FoldChunks(encoding.FoldSum, 0, chunks, nil) }
 			fold() // warm caches and page in the payload
 			best := time.Duration(1<<63 - 1)
 			var sum uint64

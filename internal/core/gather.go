@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
-	"smartarrays/internal/bitpack"
 	"smartarrays/internal/counters"
+	"smartarrays/internal/encoding"
 	"smartarrays/internal/perfmodel"
 )
 
@@ -13,7 +13,7 @@ import (
 // contiguous edge runs (stream) and index-vector lookups of per-vertex
 // state (gather) — and both were previously per-element Get calls. These
 // wrappers validate once per batch and hand the whole vector or range to
-// the bitpack kernels.
+// the batched encoding kernels (the bitpack ones for bit-packed arrays).
 
 // Gather decodes out[i] = element idx[i] for a reader on socket. Indices
 // may repeat and appear in any order; the whole vector is bounds-checked
@@ -29,14 +29,7 @@ func Gather(a *SmartArray, socket int, idx []uint64, out []uint64) {
 			panic(fmt.Sprintf("core: gather index %d out of range [0,%d)", x, length))
 		}
 	}
-	rp := a.rep.Load()
-	if enc := rp.enc; enc != nil {
-		for i, x := range idx {
-			out[i] = enc.Get(x)
-		}
-		return
-	}
-	a.codec.Gather(rp.region.Replica(socket), idx, out)
+	encoding.Gather(a.rep.Load().chunks(socket), idx, out)
 }
 
 // ReadRange decodes elements [lo, hi) into out for a reader on socket.
@@ -51,51 +44,7 @@ func ReadRange(a *SmartArray, socket int, lo, hi uint64, out []uint64) {
 	if uint64(len(out)) < hi-lo {
 		panic(fmt.Sprintf("core: ReadRange destination holds %d elements, need %d", len(out), hi-lo))
 	}
-	rp := a.rep.Load()
-	if enc := rp.enc; enc != nil {
-		headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
-		for i := lo; i < headEnd; i++ {
-			out[i-lo] = enc.Get(i)
-		}
-		if chunkLo < chunkHi {
-			var buf [bitpack.ChunkSize]uint64
-			for ch := chunkLo; ch < chunkHi; ch++ {
-				enc.DecodeChunk(ch, &buf)
-				copy(out[ch*bitpack.ChunkSize-lo:], buf[:])
-			}
-		}
-		for i := tailStart; i < hi; i++ {
-			out[i-lo] = enc.Get(i)
-		}
-		return
-	}
-	replica := rp.region.Replica(socket)
-	codec := a.codec
-	switch a.Bits() {
-	case 64:
-		copy(out, replica[lo:hi])
-		return
-	case 32:
-		for i := lo; i < hi; i++ {
-			w := replica[i>>1]
-			out[i-lo] = (w >> ((i & 1) * 32)) & 0xFFFFFFFF
-		}
-		return
-	}
-	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
-	for i := lo; i < headEnd; i++ {
-		out[i-lo] = codec.Get(replica, i)
-	}
-	if chunkLo < chunkHi {
-		var buf [bitpack.ChunkSize]uint64
-		for ch := chunkLo; ch < chunkHi; ch++ {
-			codec.Unpack(replica, ch, &buf)
-			copy(out[ch*bitpack.ChunkSize-lo:], buf[:])
-		}
-	}
-	for i := tailStart; i < hi; i++ {
-		out[i-lo] = codec.Get(replica, i)
-	}
+	encoding.ReadRange(a.rep.Load().chunks(socket), lo, hi, out)
 }
 
 // StreamRange decodes elements [lo, hi) through buf for a reader on
@@ -107,26 +56,7 @@ func StreamRange(a *SmartArray, socket int, lo, hi uint64, buf []uint64, emit fu
 		return
 	}
 	a.checkRange(lo, hi)
-	rp := a.rep.Load()
-	if enc := rp.enc; enc != nil {
-		// Chunk-wise decode-and-emit: each emitted run is the overlap of a
-		// decoded chunk with [lo, hi), satisfying the UnpackRange contract
-		// (in-order, contiguous, vals valid only during the call).
-		var chunkBuf [bitpack.ChunkSize]uint64
-		for base := lo; base < hi; {
-			chunk := base / bitpack.ChunkSize
-			enc.DecodeChunk(chunk, &chunkBuf)
-			start := base % bitpack.ChunkSize
-			end := uint64(bitpack.ChunkSize)
-			if chunkEnd := (chunk + 1) * bitpack.ChunkSize; chunkEnd > hi {
-				end = bitpack.ChunkSize - (chunkEnd - hi)
-			}
-			emit(base, chunkBuf[start:end])
-			base += end - start
-		}
-		return
-	}
-	a.codec.UnpackRange(rp.region.Replica(socket), lo, hi, buf, emit)
+	encoding.StreamRange(a.rep.Load().chunks(socket), lo, hi, buf, emit)
 }
 
 // AccountGather charges n batched random element reads: the same amplified
@@ -143,7 +73,7 @@ func (a *SmartArray) AccountGather(sh *counters.Shard, n uint64, localityBoost f
 	eff := perfmodel.RandomReadBytes(float64(a.CompressedBytes()), elemBytes, spec.LLCMB*1e6, localityBoost)
 	rp.region.AccountRandom(sh, n, uint64(eff))
 	sh.Access(n)
-	sh.Instr(uint64(float64(n) * rp.costGather(a)))
+	sh.Instr(uint64(float64(n) * perfmodel.CostEncodedGather(rp.cost)))
 	if aa := t.done(sh); aa != nil {
 		aa.Gathers++
 		aa.GatherElems += n
@@ -164,7 +94,7 @@ func (a *SmartArray) AccountStream(sh *counters.Shard, lo, hi uint64) {
 	rp.region.AccountScan(sh, loWord, hiWord-loWord)
 	n := hi - lo
 	sh.Access(n)
-	sh.Instr(uint64(float64(n) * rp.costStream(a)))
+	sh.Instr(uint64(float64(n) * perfmodel.CostEncodedStream(rp.cost)))
 	if aa := t.done(sh); aa != nil {
 		aa.Streams++
 		aa.StreamElems += n

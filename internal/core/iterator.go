@@ -27,7 +27,7 @@ type Iterator interface {
 // count).
 func NewIterator(a *SmartArray, socket int, index uint64) Iterator {
 	replica := a.GetReplica(socket)
-	if a.rep.Load().enc != nil {
+	if !a.rep.Load().packed() {
 		// Re-encoded arrays iterate through the chunk buffer regardless of
 		// width: Unpack dispatches to the codec's DecodeChunk.
 		it := &CompressedIterator{array: a, replica: replica}
@@ -178,45 +178,14 @@ func SumRangeIter(a *SmartArray, socket int, lo, hi uint64) uint64 {
 }
 
 // Map applies fn to every element of [lo, hi) for a reader on socket,
-// unpacking whole chunks at once. This is the §7 "alternative unified API"
+// decoding through StreamRange. This is the §7 "alternative unified API"
 // (bounded map with a lambda) that removes the iterator's per-element
 // chunk-boundary branch.
 func Map(a *SmartArray, socket int, lo, hi uint64, fn func(index, value uint64)) {
-	if lo >= hi {
-		return
-	}
-	rp := a.rep.Load()
-	replica := rp.region.Replica(socket)
-	if rp.enc == nil {
-		switch a.Bits() {
-		case 64:
-			for i := lo; i < hi; i++ {
-				fn(i, replica[i])
-			}
-			return
-		case 32:
-			for i := lo; i < hi; i++ {
-				w := replica[i>>1]
-				fn(i, (w>>((i&1)*32))&0xFFFFFFFF)
-			}
-			return
-		}
-	}
 	var buf [bitpack.ChunkSize]uint64
-	i := lo
-	for i < hi {
-		chunk := i / bitpack.ChunkSize
-		if rp.enc != nil {
-			rp.enc.DecodeChunk(chunk, &buf)
-		} else {
-			a.codec.Unpack(replica, chunk, &buf)
+	StreamRange(a, socket, lo, hi, buf[:], func(base uint64, vals []uint64) {
+		for j, v := range vals {
+			fn(base+uint64(j), v)
 		}
-		end := (chunk + 1) * bitpack.ChunkSize
-		if end > hi {
-			end = hi
-		}
-		for ; i < end; i++ {
-			fn(i, buf[i%bitpack.ChunkSize])
-		}
-	}
+	})
 }

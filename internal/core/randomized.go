@@ -116,7 +116,7 @@ func (a *SmartArray) InitAtomic(socket int, index, value uint64) {
 		panic("core: index out of range")
 	}
 	rp := a.rep.Load()
-	if rp.enc != nil {
+	if !rp.packed() {
 		panic("core: InitAtomic on a re-encoded array (re-encoded arrays are read-only)")
 	}
 	rp.region.Touch(a.WordOf(index), socket)

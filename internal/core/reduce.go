@@ -8,28 +8,24 @@ import (
 )
 
 // Fused reductions: the scan-aggregate hot path (paper Function 4) routed
-// through the word-at-a-time kernels in internal/bitpack. A range [lo, hi)
+// through the representation's chunk codec (for bit-packed arrays, the
+// word-at-a-time kernels in internal/bitpack). A range [lo, hi)
 // decomposes into a ragged head (lo up to the next chunk boundary), a run
 // of whole chunks, and a ragged tail; the head and tail — at most 63
-// elements each — go through Codec.Get, the whole chunks through the fused
-// kernel, so the per-element decode-into-a-buffer of the iterator path
+// elements each — go through Get, the whole chunks through the fused
+// fold, so the per-element decode-into-a-buffer of the iterator path
 // disappears from the dominant middle section.
 
 // ReduceOp selects the fold of ReduceRange.
-type ReduceOp int
+type ReduceOp = encoding.FoldOp
 
 // Reduction operators. The identity returned for an empty range is 0 for
 // ReduceSum and ReduceMax and ^uint64(0) for ReduceMin.
 const (
-	ReduceSum ReduceOp = iota
-	ReduceMax
-	ReduceMin
+	ReduceSum = encoding.FoldSum
+	ReduceMax = encoding.FoldMax
+	ReduceMin = encoding.FoldMin
 )
-
-// String renders the operator.
-func (op ReduceOp) String() string {
-	return [...]string{"sum", "max", "min"}[op]
-}
 
 // rangeParts splits [lo, hi) into a head [lo, headEnd), whole chunks
 // [chunkLo, chunkHi), and a tail [tailStart, hi). Head and tail are handled
@@ -52,8 +48,8 @@ func (a *SmartArray) checkRange(lo, hi uint64) {
 }
 
 // ReduceRange folds elements [lo, hi) with op for a reader on socket,
-// dispatching whole chunks to the fused bitpack kernels (SumChunks,
-// MaxChunks, MinChunks) and the ragged head/tail to Codec.Get.
+// dispatching whole chunks to the codec's fused FoldChunks and the ragged
+// head/tail to Get.
 func ReduceRange(a *SmartArray, socket int, lo, hi uint64, op ReduceOp) uint64 {
 	return ReduceRangeCounted(a, socket, lo, hi, op, nil)
 }
@@ -77,82 +73,28 @@ func countRaggedEnds(lo, headEnd, tailStart, hi uint64, sc *ScanCounts) {
 // for sums, chunk bounds for min/max) count as pruned, decoded chunks
 // as scanned. sc may be nil.
 func ReduceRangeCounted(a *SmartArray, socket int, lo, hi uint64, op ReduceOp, sc *ScanCounts) uint64 {
-	identity := uint64(0)
-	if op == ReduceMin {
-		identity = ^uint64(0)
-	}
+	acc := op.Identity()
 	if lo >= hi {
-		return identity
+		return acc
 	}
 	a.checkRange(lo, hi)
 	rp := a.rep.Load()
+	cc := rp.chunks(socket)
 	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
 	countRaggedEnds(lo, headEnd, tailStart, hi, sc)
-
-	acc := identity
-	fold := func(v uint64) {
-		switch op {
-		case ReduceSum:
-			acc += v
-		case ReduceMax:
-			if v > acc {
-				acc = v
-			}
-		default:
-			if v < acc {
-				acc = v
-			}
-		}
-	}
-	zones := rp.zones.Load()
-	if enc := rp.enc; enc != nil {
-		for i := lo; i < headEnd; i++ {
-			fold(enc.Get(i))
-		}
-		if chunkLo < chunkHi {
-			switch {
-			case zones != nil:
-				acc = zoneReduceChunks(zones, chunkLo, chunkHi, op, acc, sc, enc.SumChunks)
-			case op == ReduceSum:
-				acc += enc.SumChunks(chunkLo, chunkHi)
-				sc.addScanned(chunkHi - chunkLo)
-			case op == ReduceMax:
-				fold(enc.MaxChunks(chunkLo, chunkHi))
-				sc.addScanned(chunkHi - chunkLo)
-			default:
-				fold(enc.MinChunks(chunkLo, chunkHi))
-				sc.addScanned(chunkHi - chunkLo)
-			}
-		}
-		for i := tailStart; i < hi; i++ {
-			fold(enc.Get(i))
-		}
-		return acc
-	}
-	replica := rp.region.Replica(socket)
-	codec := a.codec
 	for i := lo; i < headEnd; i++ {
-		fold(codec.Get(replica, i))
+		acc = op.Fold(acc, cc.Get(i))
 	}
 	if chunkLo < chunkHi {
-		switch {
-		case zones != nil:
-			acc = zoneReduceChunks(zones, chunkLo, chunkHi, op, acc, sc, func(s, e uint64) uint64 {
-				return codec.SumChunks(replica, s, e)
-			})
-		case op == ReduceSum:
-			acc += codec.SumChunks(replica, chunkLo, chunkHi)
-			sc.addScanned(chunkHi - chunkLo)
-		case op == ReduceMax:
-			fold(codec.MaxChunks(replica, chunkLo, chunkHi))
-			sc.addScanned(chunkHi - chunkLo)
-		default:
-			fold(codec.MinChunks(replica, chunkLo, chunkHi))
+		if zones := rp.zones.Load(); zones != nil {
+			acc = zoneReduceChunks(zones, cc, chunkLo, chunkHi, op, acc, sc)
+		} else {
+			acc = op.Fold(acc, cc.FoldChunks(op, chunkLo, chunkHi, nil))
 			sc.addScanned(chunkHi - chunkLo)
 		}
 	}
 	for i := tailStart; i < hi; i++ {
-		fold(codec.Get(replica, i))
+		acc = op.Fold(acc, cc.Get(i))
 	}
 	return acc
 }
@@ -160,17 +102,15 @@ func ReduceRangeCounted(a *SmartArray, socket int, lo, hi uint64, op ReduceOp, s
 // zoneReduceChunks folds whole chunks [chunkLo, chunkHi) through the zone
 // index: min/max read the per-chunk bounds without touching the payload
 // (every chunk accounts as pruned), sums fold constant chunks in O(1)
-// (pruned) and batch the rest into contiguous sumChunks spans (scanned).
-func zoneReduceChunks(z *encoding.ZoneIndex, chunkLo, chunkHi uint64, op ReduceOp, acc uint64, sc *ScanCounts, sumChunks func(lo, hi uint64) uint64) uint64 {
+// (pruned) and batch the rest into contiguous FoldChunks spans (scanned).
+func zoneReduceChunks(z *encoding.ZoneIndex, cc encoding.ChunkCodec, chunkLo, chunkHi uint64, op ReduceOp, acc uint64, sc *ScanCounts) uint64 {
 	if op != ReduceSum {
 		for c := chunkLo; c < chunkHi; c++ {
 			mn, mx := z.ChunkBounds(c)
 			if op == ReduceMax {
-				if mx > acc {
-					acc = mx
-				}
-			} else if mn < acc {
-				acc = mn
+				acc = op.Fold(acc, mx)
+			} else {
+				acc = op.Fold(acc, mn)
 			}
 		}
 		sc.addPruned(chunkHi - chunkLo)
@@ -180,7 +120,7 @@ func zoneReduceChunks(z *encoding.ZoneIndex, chunkLo, chunkHi uint64, op ReduceO
 	var pruned uint64
 	for c := chunkLo; c < chunkHi; c++ {
 		if v, ok := z.Constant(c); ok {
-			acc += sumChunks(spanLo, c)
+			acc += cc.FoldChunks(ReduceSum, spanLo, c, nil)
 			spanLo = c + 1
 			acc += v * bitpack.ChunkSize
 			pruned++
@@ -188,69 +128,34 @@ func zoneReduceChunks(z *encoding.ZoneIndex, chunkLo, chunkHi uint64, op ReduceO
 	}
 	sc.addPruned(pruned)
 	sc.addScanned(chunkHi - chunkLo - pruned)
-	return acc + sumChunks(spanLo, chunkHi)
+	return acc + cc.FoldChunks(ReduceSum, spanLo, chunkHi, nil)
 }
 
 // CountRange counts elements v in [lo, hi) satisfying "v op threshold" for
-// a reader on socket, dispatching whole chunks to the fused CountWhere
-// kernel.
+// a reader on socket, dispatching whole chunks to the codec's fused
+// CountWhere; the zone index, when attached, resolves whole chunks (all
+// rows match, or none do) without touching the payload.
 func CountRange(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	return CountRangeCounted(a, socket, lo, hi, op, threshold, nil)
-}
-
-// CountRangeCounted is CountRange with per-chunk scan accounting:
-// zone-resolved chunks (all rows match, or none do) count as pruned,
-// chunks handed to the fused CountWhere kernel as scanned. sc may be
-// nil.
-func CountRangeCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp, threshold uint64, sc *ScanCounts) uint64 {
 	if lo >= hi {
 		return 0
 	}
 	a.checkRange(lo, hi)
 	rp := a.rep.Load()
+	cc := rp.chunks(socket)
 	headEnd, chunkLo, chunkHi, tailStart := rangeParts(lo, hi)
-	countRaggedEnds(lo, headEnd, tailStart, hi, sc)
-
 	var count uint64
-	zones := rp.zones.Load()
-	if enc := rp.enc; enc != nil {
-		for i := lo; i < headEnd; i++ {
-			if op.Eval(enc.Get(i), threshold) {
-				count++
-			}
-		}
-		if zones != nil {
-			count += zoneCountChunks(zones, chunkLo, chunkHi, op, threshold, sc, func(s, e uint64) uint64 {
-				return enc.CountWhere(s, e, op, threshold)
-			})
-		} else {
-			count += enc.CountWhere(chunkLo, chunkHi, op, threshold)
-			sc.addScanned(chunkHi - chunkLo)
-		}
-		for i := tailStart; i < hi; i++ {
-			if op.Eval(enc.Get(i), threshold) {
-				count++
-			}
-		}
-		return count
-	}
-	replica := rp.region.Replica(socket)
-	codec := a.codec
 	for i := lo; i < headEnd; i++ {
-		if op.Eval(codec.Get(replica, i), threshold) {
+		if op.Eval(cc.Get(i), threshold) {
 			count++
 		}
 	}
-	if zones != nil {
-		count += zoneCountChunks(zones, chunkLo, chunkHi, op, threshold, sc, func(s, e uint64) uint64 {
-			return codec.CountWhere(replica, s, e, op, threshold)
-		})
+	if zones := rp.zones.Load(); zones != nil {
+		count += zoneCountChunks(zones, cc, chunkLo, chunkHi, op, threshold)
 	} else {
-		count += codec.CountWhere(replica, chunkLo, chunkHi, op, threshold)
-		sc.addScanned(chunkHi - chunkLo)
+		count += cc.CountWhere(chunkLo, chunkHi, op, threshold)
 	}
 	for i := tailStart; i < hi; i++ {
-		if op.Eval(codec.Get(replica, i), threshold) {
+		if op.Eval(cc.Get(i), threshold) {
 			count++
 		}
 	}
@@ -259,34 +164,21 @@ func CountRangeCounted(a *SmartArray, socket int, lo, hi uint64, op bitpack.Cmp,
 
 // zoneCountChunks counts matches in whole chunks [chunkLo, chunkHi)
 // through the zone index: resolved chunks contribute 0 or ChunkSize
-// matches without touching the payload (accounted as pruned), and the
-// mixed remainder batches into contiguous countWhere spans (scanned).
-func zoneCountChunks(z *encoding.ZoneIndex, chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64, sc *ScanCounts, countWhere func(lo, hi uint64) uint64) uint64 {
-	var count, pruned uint64
+// matches without touching the payload, and the mixed remainder batches
+// into contiguous CountWhere spans.
+func zoneCountChunks(z *encoding.ZoneIndex, cc encoding.ChunkCodec, chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
+	var count uint64
 	spanLo := chunkLo
 	for c := chunkLo; c < chunkHi; c++ {
 		switch z.Verdict(c, op, threshold) {
 		case encoding.ZoneNone:
-			count += countWhere(spanLo, c)
+			count += cc.CountWhere(spanLo, c, op, threshold)
 			spanLo = c + 1
-			pruned++
 		case encoding.ZoneAll:
-			count += countWhere(spanLo, c)
+			count += cc.CountWhere(spanLo, c, op, threshold)
 			spanLo = c + 1
 			count += bitpack.ChunkSize
-			pruned++
 		}
 	}
-	sc.addPruned(pruned)
-	sc.addScanned(chunkHi - chunkLo - pruned)
-	return count + countWhere(spanLo, chunkHi)
-}
-
-// FoldRange folds an arbitrary accumulator function over [lo, hi) for a
-// reader on socket, decoding chunk-at-a-time (the bounded-map path). It is
-// the escape hatch for folds that have no fused kernel; known folds should
-// use ReduceRange/CountRange.
-func FoldRange(a *SmartArray, socket int, lo, hi uint64, acc uint64, fn func(acc, v uint64) uint64) uint64 {
-	Map(a, socket, lo, hi, func(_, v uint64) { acc = fn(acc, v) })
-	return acc
+	return count + cc.CountWhere(spanLo, chunkHi, op, threshold)
 }

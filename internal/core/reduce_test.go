@@ -101,15 +101,6 @@ func TestCountRangeMatchesReferenceAllWidths(t *testing.T) {
 	}
 }
 
-// TestFoldRangeMatchesSum: the generic fold agrees with the fused sum.
-func TestFoldRangeMatchesSum(t *testing.T) {
-	a, _ := reduceFixture(t, 33, 200)
-	got := FoldRange(a, 0, 5, 190, 0, func(acc, v uint64) uint64 { return acc + v })
-	if want := SumRange(a, 0, 5, 190); got != want {
-		t.Errorf("FoldRange sum = %d, want %d", got, want)
-	}
-}
-
 // TestReduceRangeIdentities: empty ranges return the fold identities.
 func TestReduceRangeIdentities(t *testing.T) {
 	a, _ := reduceFixture(t, 12, 100)

@@ -1,11 +1,14 @@
-// Live re-encoding: the representation axis of §6's on-the-fly
-// adaptation. A SmartArray's storage is a repr snapshot — either native
-// packed words in a placed region, or an alternative encoding behind
-// encoding.ChunkCodec with a region-sized accounting mirror — swapped
-// atomically by Reencode. Readers load the snapshot once per call and
-// finish on whatever representation they started with (the simulator's
-// Free only drops references; in-flight readers keep the old slices
-// alive), so re-encoding is safe under concurrent scans.
+// Representations and live re-encoding: the representation axis of §6's
+// on-the-fly adaptation. A SmartArray's storage is a repr snapshot: a
+// placed memsim.Region plus the encoding.ChunkCodecs every kernel reads
+// through. A bit-packed array (the paper's §4.2 default) has one
+// zero-copy encoding.BitPackedArray view per replica of its region; a
+// re-encoded array has its single codec, with the region as a
+// payload-sized accounting mirror. Reencode and Migrate build a new
+// snapshot and swap it in atomically. Readers load the snapshot once per
+// call and finish on whatever representation they started with (the
+// simulator's Free only drops accounting; in-flight readers keep the old
+// slices alive), so both are safe under concurrent scans.
 package core
 
 import (
@@ -15,22 +18,21 @@ import (
 
 	"smartarrays/internal/encoding"
 	"smartarrays/internal/memsim"
-	"smartarrays/internal/perfmodel"
 )
 
 // repr is one immutable representation snapshot.
 type repr struct {
-	// region is the placed storage: the packed words themselves when enc
-	// is nil, otherwise an accounting mirror sized to the encoding's
-	// payload (so placement, footprint, and traffic stay honest in the
-	// memory simulator while the codec owns the real payload).
+	// region is the placed storage: the packed words themselves for a
+	// bit-packed array, otherwise an accounting mirror sized to the
+	// encoding's payload (so placement, footprint, and traffic stay
+	// honest in the memory simulator while the codec owns the payload).
 	region *memsim.Region
-	// enc is the alternative encoding; nil means native bit-packed words.
-	enc encoding.ChunkCodec
-	// cost summarizes enc for the per-codec perfmodel entries.
+	// codecs is what kernels read through (see chunks): one
+	// BitPackedArray view per replica of region, or the single
+	// re-encoded codec.
+	codecs []encoding.ChunkCodec
+	// cost summarizes the codec for the perfmodel's per-codec entries.
 	cost encoding.CostStats
-	// words is the mirror's word count (element→word traffic mapping).
-	words uint64
 	// zones is the optional zone index over this representation's values
 	// (see zonemap.go); nil until BuildZoneIndex. It lives on the snapshot
 	// so a representation swap can never pair stale bounds with new
@@ -38,129 +40,73 @@ type repr struct {
 	zones atomic.Pointer[encoding.ZoneIndex]
 }
 
-// kind is the representation's encoding kind; native storage reports
-// BitPacked (the paper's §4.2 default).
-func (rp *repr) kind() encoding.Kind {
-	if rp.enc == nil {
-		return encoding.BitPacked
+// packedRepr is the bit-packed representation over region's replicas,
+// viewed at the array's logical width.
+func (a *SmartArray) packedRepr(region *memsim.Region) *repr {
+	replicas := region.AllReplicas()
+	codecs := make([]encoding.ChunkCodec, len(replicas))
+	for i, words := range replicas {
+		codecs[i] = encoding.NewBitPackedView(a.codec, words, a.length)
 	}
-	return rp.enc.Kind()
+	return &repr{region: region, codecs: codecs, cost: encoding.CostStatsOf(codecs[0])}
 }
 
+// chunks is the codec a reader on socket uses: its local replica's view
+// when replicated (paper: getReplica()), the single codec otherwise.
+func (rp *repr) chunks(socket int) encoding.ChunkCodec {
+	if len(rp.codecs) == 1 {
+		return rp.codecs[0]
+	}
+	return rp.codecs[socket]
+}
+
+// packed reports whether the region holds the array's packed words —
+// true unless re-encoded. Only the word-level paper API (replica words,
+// Init, iterators, serialization, word traffic mapping) and Migrate's
+// rebuild of the views over new replica words ask.
+func (rp *repr) packed() bool { return rp.cost.Kind == encoding.BitPacked }
+
 // wordRange maps an element range to the words its access touches: the
-// native codec layout, or a payload-proportional span of the mirror.
+// packed layout, or a payload-proportional span of the mirror.
 func (rp *repr) wordRange(a *SmartArray, lo, hi uint64) (loWord, hiWord uint64) {
-	if rp.enc == nil {
+	if rp.packed() {
 		return a.WordRange(lo, hi)
 	}
 	if lo >= hi {
 		return 0, 0
 	}
-	loWord = lo * rp.words / a.length
-	hiWord = hi * rp.words / a.length
+	words := rp.region.Words()
+	loWord = lo * words / a.length
+	hiWord = hi * words / a.length
 	if hiWord <= loWord {
 		hiWord = loWord + 1
 	}
 	return loWord, hiWord
 }
 
-// costScan/costReduce/costMask/costMaskedReduce/costGet/costGather/
-// costStream return the modeled per-element instruction cost of the
-// representation: the native width-parameterized entries, or the
-// per-codec encoded entries.
-
-func (rp *repr) costScan(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostScan(a.codec.Bits())
-	}
-	return perfmodel.CostEncodedScan(rp.cost)
-}
-
-func (rp *repr) costReduce(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostReduce(a.codec.Bits())
-	}
-	return perfmodel.CostEncodedReduce(rp.cost)
-}
-
-func (rp *repr) costMask(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostMask(a.codec.Bits())
-	}
-	return perfmodel.CostEncodedMask(rp.cost)
-}
-
-func (rp *repr) costMaskedReduce(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostMaskedReduce(a.codec.Bits())
-	}
-	return perfmodel.CostEncodedMaskedReduce(rp.cost)
-}
-
-func (rp *repr) costGet(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostGet(a.codec.Bits())
-	}
-	return perfmodel.CostEncodedGet(rp.cost)
-}
-
-func (rp *repr) costGather(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostGather(a.codec.Bits())
-	}
-	return perfmodel.CostEncodedGather(rp.cost)
-}
-
-func (rp *repr) costStream(a *SmartArray) float64 {
-	if rp.enc == nil {
-		return perfmodel.CostStream(a.codec.Bits())
-	}
-	return perfmodel.CostEncodedStream(rp.cost)
-}
-
 // EncodingKind is the array's current representation (BitPacked for the
-// native packed words it is allocated with).
+// packed words it is allocated with).
 func (a *SmartArray) EncodingKind() encoding.Kind {
-	return a.rep.Load().kind()
+	return a.rep.Load().cost.Kind
 }
 
 // EncodingStats summarizes the current representation for the cost model.
-// Native storage reports a BitPacked summary at the logical width.
 func (a *SmartArray) EncodingStats() encoding.CostStats {
-	rp := a.rep.Load()
-	if rp.enc == nil {
-		var density float64
-		if a.length > 0 {
-			density = float64(a.codec.CompressedBytes(a.length)*8) / float64(a.length)
-		}
-		return encoding.CostStats{
-			Kind:               encoding.BitPacked,
-			CodeBits:           a.codec.Bits(),
-			PayloadBitsPerElem: density,
-		}
-	}
-	return rp.cost
+	return a.rep.Load().cost
 }
 
 // DecodeAll materializes the array's logical content, whatever the
 // current representation. Intended for re-encoding and serialization,
 // not hot paths.
 func (a *SmartArray) DecodeAll() []uint64 {
-	return a.rep.Load().decodeAll(a)
-}
-
-func (rp *repr) decodeAll(a *SmartArray) []uint64 {
-	if rp.enc != nil {
-		return encoding.Decode(rp.enc)
-	}
-	return a.codec.UnpackSlice(rp.region.Replica(0), a.length)
+	return encoding.Decode(a.rep.Load().chunks(0))
 }
 
 // Reencode migrates the array to the given encoding in place, returning
 // the traffic the re-encoding generates (read the old payload, write the
 // new) — the representation analogue of Migrate. BitPacked restores the
-// native packed words at the array's logical width. Concurrent readers
-// are safe: they finish on the snapshot they loaded. Re-encoding to the
+// packed words at the array's logical width. Concurrent readers are
+// safe: they finish on the snapshot they loaded. Re-encoding to the
 // current representation is a no-op.
 func (a *SmartArray) Reencode(kind encoding.Kind, socket int) (trafficBytes uint64, err error) {
 	a.reencodeMu.Lock()
@@ -169,15 +115,13 @@ func (a *SmartArray) Reencode(kind encoding.Kind, socket int) (trafficBytes uint
 	if old.region == nil {
 		return 0, errors.New("core: Reencode on a freed array")
 	}
-	if old.kind() == kind {
+	if old.cost.Kind == kind {
 		return 0, nil
 	}
-	values := old.decodeAll(a)
-	oldBytes := old.region.FootprintBytes()
+	values := encoding.Decode(old.chunks(0))
 	placement := old.region.Placement()
 
 	var next *repr
-	var newBytes uint64
 	if kind == encoding.BitPacked {
 		region, aerr := a.mem.Alloc(a.codec.WordsFor(a.length), placement, socket)
 		if aerr != nil {
@@ -188,8 +132,7 @@ func (a *SmartArray) Reencode(kind encoding.Kind, socket int) (trafficBytes uint
 			copy(replica, packed)
 		}
 		region.TouchRange(0, uint64(len(packed)), socket)
-		next = &repr{region: region}
-		newBytes = region.FootprintBytes()
+		next = a.packedRepr(region)
 	} else {
 		enc, berr := encoding.Build(kind, values)
 		if berr != nil {
@@ -199,17 +142,13 @@ func (a *SmartArray) Reencode(kind encoding.Kind, socket int) (trafficBytes uint
 		if !ok {
 			return 0, fmt.Errorf("core: encoding %v lacks chunk kernels", kind)
 		}
-		words := (enc.PayloadBytes() + 7) / 8
-		if words == 0 {
-			words = 1
-		}
+		words := max((enc.PayloadBytes()+7)/8, 1)
 		region, aerr := a.mem.Alloc(words, placement, socket)
 		if aerr != nil {
 			return 0, fmt.Errorf("core: re-encoding to %v: %w", kind, aerr)
 		}
 		region.TouchRange(0, words, socket)
-		next = &repr{region: region, enc: cc, cost: encoding.CostStatsOf(enc), words: words}
-		newBytes = region.FootprintBytes()
+		next = &repr{region: region, codecs: []encoding.ChunkCodec{cc}, cost: encoding.CostStatsOf(enc)}
 	}
 
 	// Rebuild the zone index from the already-decoded values — a free
@@ -220,14 +159,29 @@ func (a *SmartArray) Reencode(kind encoding.Kind, socket int) (trafficBytes uint
 	a.rep.Store(next)
 	a.gen.Add(1)
 	old.region.Free()
-	a.reg.SetEncoding(a.id, kind.String(), next.codeBits(a))
-	return oldBytes + newBytes, nil
+	a.reg.SetEncoding(a.id, kind.String(), next.cost.CodeBits)
+	return old.region.FootprintBytes() + next.region.FootprintBytes(), nil
 }
 
-// codeBits is the width the representation's decode shifts through.
-func (rp *repr) codeBits(a *SmartArray) uint {
-	if rp.enc == nil {
-		return a.codec.Bits()
+// Migrate restructures the array to a new placement, returning the
+// traffic the restructuring generates (§6's on-the-fly adaptation). Like
+// Reencode it publishes a fresh snapshot — the data in a new region at
+// the new placement, the codec views rebuilt over its replicas, the zone
+// index carried over — so concurrent readers finish on the old one.
+func (a *SmartArray) Migrate(p memsim.Placement, socket int) (trafficBytes uint64, err error) {
+	a.reencodeMu.Lock()
+	defer a.reencodeMu.Unlock()
+	old := a.rep.Load()
+	region, trafficBytes, err := old.region.MigrateTo(p, socket)
+	if err != nil || region == old.region {
+		return trafficBytes, err
 	}
-	return rp.cost.CodeBits
+	next := &repr{region: region, codecs: old.codecs, cost: old.cost}
+	if old.packed() {
+		next = a.packedRepr(region)
+	}
+	next.zones.Store(old.zones.Load())
+	a.rep.Store(next)
+	a.reg.SetPlacement(a.id, p.String())
+	return trafficBytes, nil
 }

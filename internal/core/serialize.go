@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"smartarrays/internal/encoding"
 	"smartarrays/internal/memsim"
 )
 
@@ -38,10 +39,10 @@ func (a *SmartArray) WriteTo(w io.Writer) (int64, error) {
 	written := int64(len(header))
 	rp := a.rep.Load()
 	words := rp.region.Replica(0)
-	if rp.enc != nil {
-		// Serialize the logical content in the native packed layout the
-		// header describes, whatever the live representation.
-		words = a.codec.PackSlice(rp.decodeAll(a))
+	if !rp.packed() {
+		// Serialize the logical content in the packed layout the header
+		// describes, whatever the live representation.
+		words = a.codec.PackSlice(encoding.Decode(rp.chunks(0)))
 	}
 	var buf [8]byte
 	for _, word := range words {

@@ -11,6 +11,14 @@
 // parameterized by a bitpack.Codec plus concrete iterator types selected by
 // width, mirroring how the paper's entry points branch on the profiled bit
 // count.
+//
+// Every kernel — reductions, counts, predicate masks, masked folds,
+// gathers, range reads and streams, zone-index builds — reads through
+// one surface, encoding.ChunkCodec: a zero-copy bit-packed view of the
+// reader's replica, or an alternative encoding after Reencode. Only the
+// paper's word-level API (GetReplica, Get, Unpack, the U64/U32
+// iterators, Init, serialization, word traffic mapping) touches the
+// packed words directly.
 package core
 
 import (
@@ -21,6 +29,7 @@ import (
 
 	"smartarrays/internal/bitpack"
 	"smartarrays/internal/counters"
+	"smartarrays/internal/encoding"
 	"smartarrays/internal/memsim"
 	"smartarrays/internal/obs"
 	"smartarrays/internal/perfmodel"
@@ -51,8 +60,8 @@ type Config struct {
 // must synchronize externally (the paper's arrays are read-only after
 // initialization, §4.2).
 //
-// The array's representation — native packed words, or one of the
-// alternative encodings behind encoding.ChunkCodec — lives in an
+// The array's representation — bit-packed replicas or an alternative
+// encoding, both read through encoding.ChunkCodec — lives in an
 // atomically swapped repr snapshot (see reencode.go). Every read path
 // loads the snapshot once per call, so a live re-encode under concurrent
 // scans is safe: in-flight readers finish on the representation they
@@ -94,7 +103,7 @@ func Allocate(mem *memsim.Memory, cfg Config) (*SmartArray, error) {
 		return nil, fmt.Errorf("core: allocating %d elements at %d bits: %w", cfg.Length, cfg.Bits, err)
 	}
 	a := &SmartArray{mem: mem, codec: codec, length: cfg.Length}
-	a.rep.Store(&repr{region: region})
+	a.rep.Store(a.packedRepr(region))
 	a.register(cfg.Name)
 	return a, nil
 }
@@ -144,8 +153,8 @@ func (a *SmartArray) Placement() memsim.Placement { return a.rep.Load().region.P
 // migration.
 func (a *SmartArray) Region() *memsim.Region { return a.rep.Load().region }
 
-// Codec exposes the bit-compression codec (the native logical width; an
-// alternative encoding's code width is in EncodingStats).
+// Codec exposes the bit-compression codec at the array's logical width
+// (an alternative encoding's code width is in EncodingStats).
 func (a *SmartArray) Codec() bitpack.Codec { return a.codec }
 
 // FootprintBytes is the simulated DRAM consumed, including replicas.
@@ -154,11 +163,7 @@ func (a *SmartArray) FootprintBytes() uint64 { return a.rep.Load().region.Footpr
 // CompressedBytes is the payload size of one copy of the array in its
 // current representation.
 func (a *SmartArray) CompressedBytes() uint64 {
-	rp := a.rep.Load()
-	if rp.enc != nil {
-		return rp.enc.PayloadBytes()
-	}
-	return a.codec.CompressedBytes(a.length)
+	return a.rep.Load().chunks(0).PayloadBytes()
 }
 
 // UncompressedBytes is what one copy would occupy at 64 bits per element.
@@ -180,8 +185,8 @@ func (a *SmartArray) Get(replica []uint64, index uint64) uint64 {
 	if index >= a.length {
 		panic(fmt.Sprintf("core: index %d out of range [0,%d)", index, a.length))
 	}
-	if rp := a.rep.Load(); rp.enc != nil {
-		return rp.enc.Get(index)
+	if rp := a.rep.Load(); !rp.packed() {
+		return rp.chunks(0).Get(index)
 	}
 	return a.codec.Get(replica, index)
 }
@@ -195,24 +200,13 @@ func (a *SmartArray) Get(replica []uint64, index uint64) uint64 {
 // loads. Values are representation-independent, so two workers on
 // different snapshots still fold identical answers.
 type View struct {
-	enc     encodedView
-	codec   bitpack.Codec
-	replica []uint64
-	length  uint64
-}
-
-// encodedView is the slice of encoding.ChunkCodec the View needs.
-type encodedView interface {
-	Get(index uint64) uint64
+	cc     encoding.ChunkCodec
+	length uint64
 }
 
 // View snapshots the array's representation for a reader on socket.
 func (a *SmartArray) View(socket int) View {
-	rp := a.rep.Load()
-	if rp.enc != nil {
-		return View{enc: rp.enc, length: a.length}
-	}
-	return View{codec: a.codec, replica: rp.region.Replica(socket), length: a.length}
+	return View{cc: a.rep.Load().chunks(socket), length: a.length}
 }
 
 // Get extracts the element at index from the snapshot.
@@ -220,26 +214,14 @@ func (v *View) Get(index uint64) uint64 {
 	if index >= v.length {
 		panic(fmt.Sprintf("core: index %d out of range [0,%d)", index, v.length))
 	}
-	if v.enc != nil {
-		return v.enc.Get(index)
-	}
-	return v.codec.Get(v.replica, index)
+	return v.cc.Get(index)
 }
 
 // GetFrom is Get with replica selection folded in, for call sites that do
 // occasional random accesses rather than scans.
 func (a *SmartArray) GetFrom(socket int, index uint64) uint64 {
-	rp := a.rep.Load()
-	if rp.enc != nil {
-		if index >= a.length {
-			panic(fmt.Sprintf("core: index %d out of range [0,%d)", index, a.length))
-		}
-		return rp.enc.Get(index)
-	}
-	if index >= a.length {
-		panic(fmt.Sprintf("core: index %d out of range [0,%d)", index, a.length))
-	}
-	return a.codec.Get(rp.region.Replica(socket), index)
+	v := a.View(socket)
+	return v.Get(index)
 }
 
 // Init sets the element at index to value in every replica (paper: init,
@@ -253,7 +235,7 @@ func (a *SmartArray) Init(socket int, index, value uint64) {
 		panic(fmt.Sprintf("core: index %d out of range [0,%d)", index, a.length))
 	}
 	rp := a.rep.Load()
-	if rp.enc != nil {
+	if !rp.packed() {
 		panic("core: Init on a re-encoded array (re-encoded arrays are read-only)")
 	}
 	// A write invalidates any attached zone index and bumps the revision
@@ -273,8 +255,8 @@ func (a *SmartArray) Init(socket int, index, value uint64) {
 // unpack, Function 3). Re-encoded arrays dispatch to the codec's chunk
 // decode and ignore replica.
 func (a *SmartArray) Unpack(replica []uint64, chunk uint64, out *[bitpack.ChunkSize]uint64) {
-	if rp := a.rep.Load(); rp.enc != nil {
-		rp.enc.DecodeChunk(chunk, out)
+	if rp := a.rep.Load(); !rp.packed() {
+		rp.chunks(0).DecodeChunk(chunk, out)
 		return
 	}
 	a.codec.Unpack(replica, chunk, out)
@@ -306,18 +288,6 @@ func (a *SmartArray) WordRange(lo, hi uint64) (loWord, hiWord uint64) {
 	return loWord, hiWord
 }
 
-// Migrate restructures the array to a new placement in place, returning
-// the traffic the restructuring generates (§6's on-the-fly adaptation).
-func (a *SmartArray) Migrate(p memsim.Placement, socket int) (trafficBytes uint64, err error) {
-	a.reencodeMu.Lock()
-	defer a.reencodeMu.Unlock()
-	trafficBytes, err = a.rep.Load().region.Migrate(p, socket)
-	if err == nil {
-		a.reg.SetPlacement(a.id, p.String())
-	}
-	return trafficBytes, err
-}
-
 // AccountScan charges the traffic and instructions of sequentially reading
 // elements [lo, hi) to the shard: compressed payload bytes split across
 // serving sockets by the placement's page map, plus the width-dependent
@@ -332,7 +302,7 @@ func (a *SmartArray) AccountScan(sh *counters.Shard, lo, hi uint64) {
 	rp.region.AccountScan(sh, loWord, hiWord-loWord)
 	n := hi - lo
 	sh.Access(n)
-	sh.Instr(uint64(float64(n) * rp.costScan(a)))
+	sh.Instr(uint64(float64(n) * perfmodel.CostEncodedScan(rp.cost)))
 	if aa := t.done(sh); aa != nil {
 		aa.Scans++
 		aa.ScanElems += n
@@ -353,7 +323,7 @@ func (a *SmartArray) AccountReduce(sh *counters.Shard, lo, hi uint64) {
 	rp.region.AccountScan(sh, loWord, hiWord-loWord)
 	n := hi - lo
 	sh.Access(n)
-	sh.Instr(uint64(float64(n) * rp.costReduce(a)))
+	sh.Instr(uint64(float64(n) * perfmodel.CostEncodedReduce(rp.cost)))
 	if aa := t.done(sh); aa != nil {
 		aa.Reduces++
 		aa.ReduceElems += n
@@ -393,7 +363,7 @@ func (a *SmartArray) AccountRandomGets(sh *counters.Shard, n uint64, localityBoo
 	eff := perfmodel.RandomReadBytes(float64(a.CompressedBytes()), elemBytes, spec.LLCMB*1e6, localityBoost)
 	rp.region.AccountRandom(sh, n, uint64(eff))
 	sh.Access(n)
-	sh.Instr(uint64(float64(n) * rp.costGet(a)))
+	sh.Instr(uint64(float64(n) * perfmodel.CostEncodedGet(rp.cost)))
 	if aa := t.done(sh); aa != nil {
 		aa.Gets++
 		aa.GetElems += n

@@ -41,13 +41,6 @@ func ActiveArrayRegistry() *obs.ArrayRegistry {
 // registry attached).
 func (a *SmartArray) TelemetryID() uint64 { return a.id }
 
-// SetLabel renames the array in the registry — workloads label arrays
-// ("ranks", "edge", column names) once their role is known, so profiles
-// and the /arrays endpoint read like the paper's array sets.
-func (a *SmartArray) SetLabel(name string) {
-	a.reg.SetName(a.id, name)
-}
-
 // register runs at allocation: assign an ID and record the array's
 // identity when a registry is attached.
 func (a *SmartArray) register(name string) {

@@ -14,8 +14,8 @@ import (
 // BuildZoneIndex computes per-chunk min/max statistics for the current
 // representation and attaches them to the snapshot, returning the index
 // (nil for a freed array). Codecs with per-chunk structure (RLE runs,
-// delta bases, dict ids) build without a full decode; native packed words
-// take one chunk-decode pass.
+// delta bases, dict ids) build without a full decode; the rest take one
+// chunk-decode pass.
 func (a *SmartArray) BuildZoneIndex() *encoding.ZoneIndex {
 	a.reencodeMu.Lock()
 	defer a.reencodeMu.Unlock()
@@ -23,16 +23,7 @@ func (a *SmartArray) BuildZoneIndex() *encoding.ZoneIndex {
 	if rp.region == nil {
 		return nil
 	}
-	var z *encoding.ZoneIndex
-	if rp.enc != nil {
-		z = encoding.BuildZoneIndex(rp.enc)
-	} else {
-		replica := rp.region.Replica(0)
-		codec := a.codec
-		z = encoding.BuildZoneIndexFunc(a.length, func(chunk uint64, out *[bitpack.ChunkSize]uint64) {
-			codec.Unpack(replica, chunk, out)
-		})
-	}
+	z := encoding.BuildZoneIndex(rp.chunks(0))
 	rp.zones.Store(z)
 	return z
 }
@@ -55,12 +46,12 @@ func (a *SmartArray) ZoneBounds() (mn, mx uint64, ok bool) {
 }
 
 // zoneMaskFill fills masks[0:n] for chunks [first, first+n) by resolving
-// each chunk through the zone index where possible and calling cmp for the
-// rest. Whole super zones inside the window resolve with one coarse check
+// each chunk through the zone index where possible and running the
+// codec's CmpMaskChunk for the rest. Whole super zones inside the window resolve with one coarse check
 // per encoding.ZoneFanout chunks — on clustered or sorted data most of the
 // window never reads even the fine zone entries. Zone-resolved chunks
-// accumulate into sc as pruned, cmp chunks as scanned (sc may be nil).
-func zoneMaskFill(z *encoding.ZoneIndex, first, n uint64, op bitpack.Cmp, threshold uint64, masks []uint64, sc *ScanCounts, cmp func(chunk uint64) uint64) {
+// accumulate into sc as pruned, compared chunks as scanned (sc may be nil).
+func zoneMaskFill(z *encoding.ZoneIndex, cc encoding.ChunkCodec, first, n uint64, op bitpack.Cmp, threshold uint64, masks []uint64, sc *ScanCounts) {
 	c := uint64(0)
 	var scanned uint64
 	for c < n {
@@ -87,7 +78,7 @@ func zoneMaskFill(z *encoding.ZoneIndex, first, n uint64, op bitpack.Cmp, thresh
 		case encoding.ZoneAll:
 			masks[c] = ^uint64(0)
 		default:
-			masks[c] = cmp(chunk)
+			masks[c] = cc.CmpMaskChunk(chunk, op, threshold)
 			scanned++
 		}
 		c++

@@ -9,15 +9,16 @@ import (
 
 // ChunkCodec is the chunk-granular kernel interface every encoding
 // implements, mirroring the fused bitpack kernels so core.SmartArray and
-// the colstore scan pipeline can dispatch over the representation instead
-// of assuming bit packing.
+// the colstore scan pipeline dispatch over the representation instead of
+// assuming bit packing. Bit-packed smart arrays read through it too: one
+// zero-copy BitPackedArray view per placed replica.
 //
 // Contract (same as core's range decomposition guarantees for bitpack):
 //
-//   - The unmasked whole-chunk folds (SumChunks, MinChunks, MaxChunks,
-//     CountWhere) are called only on ranges of full chunks — every element
-//     of [chunkLo*64, chunkHi*64) is a real element. Ragged heads and
-//     tails go through Get or the masked paths.
+//   - Unmasked folds (FoldChunks with nil masks) and CountWhere are
+//     called only on ranges of full chunks — every element of
+//     [chunkLo*64, chunkHi*64) is a real element. Ragged heads and tails
+//     go through Get or the masked paths.
 //   - Masked folds receive selection bitmaps whose bits beyond the valid
 //     element range are clear (core.MaskRange clamps them), so a partial
 //     tail chunk is safe to include.
@@ -30,23 +31,15 @@ type ChunkCodec interface {
 	Encoded
 	// DecodeChunk materializes chunk's 64 elements into out.
 	DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64)
-	// SumChunks folds chunks [chunkLo, chunkHi) into a sum.
-	SumChunks(chunkLo, chunkHi uint64) uint64
-	// MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
-	MinChunks(chunkLo, chunkHi uint64) uint64
-	// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-	MaxChunks(chunkLo, chunkHi uint64) uint64
 	// CountWhere counts elements in [chunkLo, chunkHi) matching op threshold.
 	CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64
 	// CmpMaskChunk evaluates the predicate over one chunk into a bitmap
 	// (bit i = element chunk*64+i matches).
 	CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) uint64
-	// SumChunksMasked sums the selected elements of [chunkLo, chunkHi).
-	SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64
-	// MinChunksMasked folds the selected elements into a minimum.
-	MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64
-	// MaxChunksMasked folds the selected elements into a maximum.
-	MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64
+	// FoldChunks folds the elements of chunks [chunkLo, chunkHi) with op.
+	// masks == nil folds every element; otherwise masks[c-chunkLo]
+	// selects chunk c's elements.
+	FoldChunks(op FoldOp, chunkLo, chunkHi uint64, masks []uint64) uint64
 }
 
 // Compile-time checks: every encoding implements the chunk-codec surface.
@@ -58,6 +51,83 @@ var (
 	_ ChunkCodec = (*DeltaArray)(nil)
 	_ ChunkCodec = (*FoRArray)(nil)
 )
+
+// FoldOp selects the fold of FoldChunks.
+type FoldOp int
+
+// Fold operators. The identity of an empty selection is 0 for FoldSum
+// and FoldMax and ^uint64(0) for FoldMin.
+const (
+	FoldSum FoldOp = iota
+	FoldMax
+	FoldMin
+)
+
+// String renders the operator.
+func (op FoldOp) String() string {
+	return [...]string{"sum", "max", "min"}[op]
+}
+
+// Identity is the fold of an empty selection.
+func (op FoldOp) Identity() uint64 {
+	if op == FoldMin {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+// Fold combines acc with v, a single element or a partial fold of the
+// same operator.
+func (op FoldOp) Fold(acc, v uint64) uint64 {
+	switch op {
+	case FoldSum:
+		return acc + v
+	case FoldMax:
+		if v > acc {
+			return v
+		}
+	default:
+		if v < acc {
+			return v
+		}
+	}
+	return acc
+}
+
+// foldN folds n copies of v: v*n for sums, v itself for min/max (when
+// n > 0).
+func (op FoldOp) foldN(acc, v, n uint64) uint64 {
+	if op == FoldSum {
+		return acc + v*n
+	}
+	if n == 0 {
+		return acc
+	}
+	return op.Fold(acc, v)
+}
+
+// chunkMask is chunk c's selection within a FoldChunks call: its mask
+// word, or every element when masks is nil.
+func chunkMask(masks []uint64, chunkLo, c uint64) uint64 {
+	if masks == nil {
+		return ^uint64(0)
+	}
+	return masks[c-chunkLo]
+}
+
+// foldSelected folds the elements of a decoded chunk that m selects.
+func foldSelected(op FoldOp, acc uint64, buf *[bitpack.ChunkSize]uint64, m uint64) uint64 {
+	if m == ^uint64(0) {
+		for _, v := range buf {
+			acc = op.Fold(acc, v)
+		}
+		return acc
+	}
+	for ; m != 0; m &= m - 1 {
+		acc = op.Fold(acc, buf[bits.TrailingZeros64(m)])
+	}
+	return acc
+}
 
 // lowMask is a bitmap selecting the low n bits (n <= 64).
 func lowMask(n uint64) uint64 {
@@ -89,40 +159,6 @@ func (p *PlainArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
 	copy(out[:], p.values[chunk*bitpack.ChunkSize:])
 }
 
-// SumChunks folds chunks [chunkLo, chunkHi) into a sum.
-func (p *PlainArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
-	lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
-	var s uint64
-	for _, v := range p.values[lo:hi] {
-		s += v
-	}
-	return s
-}
-
-// MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
-func (p *PlainArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
-	lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
-	m := ^uint64(0)
-	for _, v := range p.values[lo:hi] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-func (p *PlainArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
-	lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
-	var m uint64
-	for _, v := range p.values[lo:hi] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // CountWhere counts elements in [chunkLo, chunkHi) matching the predicate.
 func (p *PlainArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
 	lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
@@ -147,48 +183,23 @@ func (p *PlainArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64
 	return m
 }
 
-// SumChunksMasked sums the selected elements of [chunkLo, chunkHi).
-func (p *PlainArray) SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	var s uint64
-	p.foldMasked(chunkLo, chunkHi, masks, func(v uint64) { s += v })
-	return s
-}
-
-// MinChunksMasked folds the selected elements into a minimum.
-func (p *PlainArray) MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	m := ^uint64(0)
-	p.foldMasked(chunkLo, chunkHi, masks, func(v uint64) {
-		if v < m {
-			m = v
+// FoldChunks folds the selected elements of [chunkLo, chunkHi).
+func (p *PlainArray) FoldChunks(op FoldOp, chunkLo, chunkHi uint64, masks []uint64) uint64 {
+	acc := op.Identity()
+	if masks == nil {
+		lo, hi := chunkSpan(p.Length(), chunkLo, chunkHi)
+		for _, v := range p.values[lo:hi] {
+			acc = op.Fold(acc, v)
 		}
-	})
-	return m
-}
-
-// MaxChunksMasked folds the selected elements into a maximum.
-func (p *PlainArray) MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	var m uint64
-	p.foldMasked(chunkLo, chunkHi, masks, func(v uint64) {
-		if v > m {
-			m = v
-		}
-	})
-	return m
-}
-
-func (p *PlainArray) foldMasked(chunkLo, chunkHi uint64, masks []uint64, fn func(v uint64)) {
+		return acc
+	}
 	for c := chunkLo; c < chunkHi; c++ {
-		m := masks[c-chunkLo]
-		if m == 0 {
-			continue
-		}
 		base := c * bitpack.ChunkSize
-		for m != 0 {
-			i := uint64(bits.TrailingZeros64(m))
-			fn(p.values[base+i])
-			m &= m - 1
+		for m := masks[c-chunkLo]; m != 0; m &= m - 1 {
+			acc = op.Fold(acc, p.values[base+uint64(bits.TrailingZeros64(m))])
 		}
 	}
+	return acc
 }
 
 // ---------------------------------------------------------------------------
@@ -197,21 +208,6 @@ func (p *PlainArray) foldMasked(chunkLo, chunkHi uint64, masks []uint64, fn func
 // DecodeChunk materializes chunk's 64 elements into out.
 func (b *BitPackedArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
 	b.codec.Unpack(b.data, chunk, out)
-}
-
-// SumChunks folds chunks [chunkLo, chunkHi) into a sum.
-func (b *BitPackedArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
-	return b.codec.SumChunks(b.data, chunkLo, chunkHi)
-}
-
-// MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
-func (b *BitPackedArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
-	return b.codec.MinChunks(b.data, chunkLo, chunkHi)
-}
-
-// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-func (b *BitPackedArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
-	return b.codec.MaxChunks(b.data, chunkLo, chunkHi)
 }
 
 // CountWhere counts elements in [chunkLo, chunkHi) matching the predicate.
@@ -224,19 +220,24 @@ func (b *BitPackedArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold ui
 	return b.codec.CmpMaskChunk(b.data, chunk, op, threshold)
 }
 
-// SumChunksMasked sums the selected elements of [chunkLo, chunkHi).
-func (b *BitPackedArray) SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	return b.codec.SumChunksMasked(b.data, chunkLo, chunkHi, masks)
-}
-
-// MinChunksMasked folds the selected elements into a minimum.
-func (b *BitPackedArray) MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	return b.codec.MinChunksMasked(b.data, chunkLo, chunkHi, masks)
-}
-
-// MaxChunksMasked folds the selected elements into a maximum.
-func (b *BitPackedArray) MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	return b.codec.MaxChunksMasked(b.data, chunkLo, chunkHi, masks)
+// FoldChunks folds the selected elements of [chunkLo, chunkHi) through
+// the fused (masked) bitpack kernel for op.
+func (b *BitPackedArray) FoldChunks(op FoldOp, chunkLo, chunkHi uint64, masks []uint64) uint64 {
+	c, d := b.codec, b.data
+	switch {
+	case masks == nil && op == FoldSum:
+		return c.SumChunks(d, chunkLo, chunkHi)
+	case masks == nil && op == FoldMax:
+		return c.MaxChunks(d, chunkLo, chunkHi)
+	case masks == nil:
+		return c.MinChunks(d, chunkLo, chunkHi)
+	case op == FoldSum:
+		return c.SumChunksMasked(d, chunkLo, chunkHi, masks)
+	case op == FoldMax:
+		return c.MaxChunksMasked(d, chunkLo, chunkHi, masks)
+	default:
+		return c.MinChunksMasked(d, chunkLo, chunkHi, masks)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -317,36 +318,6 @@ func (d *DictArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
 	}
 }
 
-// SumChunks folds chunks [chunkLo, chunkHi) into a sum.
-func (d *DictArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
-	var buf [bitpack.ChunkSize]uint64
-	var s uint64
-	for c := chunkLo; c < chunkHi; c++ {
-		d.ids.DecodeChunk(c, &buf)
-		for _, id := range buf {
-			s += d.dict[id]
-		}
-	}
-	return s
-}
-
-// MinChunks folds chunks [chunkLo, chunkHi) into a minimum: the sorted
-// dictionary makes it one ID-space fold plus a lookup.
-func (d *DictArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
-	if chunkLo >= chunkHi {
-		return ^uint64(0)
-	}
-	return d.dict[d.ids.MinChunks(chunkLo, chunkHi)]
-}
-
-// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-func (d *DictArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
-	if chunkLo >= chunkHi {
-		return 0
-	}
-	return d.dict[d.ids.MaxChunks(chunkLo, chunkHi)]
-}
-
 // CountWhere counts matching elements without decoding: the predicate is
 // rewritten into ID space and evaluated on the packed IDs.
 func (d *DictArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
@@ -374,39 +345,25 @@ func (d *DictArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64)
 	return d.ids.CmpMaskChunk(chunk, p.op, p.thr)
 }
 
-// SumChunksMasked sums the selected elements of [chunkLo, chunkHi).
-func (d *DictArray) SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	var buf [bitpack.ChunkSize]uint64
-	var s uint64
-	for c := chunkLo; c < chunkHi; c++ {
-		m := masks[c-chunkLo]
-		if m == 0 {
-			continue
+// FoldChunks folds the selected elements of [chunkLo, chunkHi): min/max
+// in ID space (the sorted dictionary makes them one ID fold plus a
+// lookup), sums by decoding.
+func (d *DictArray) FoldChunks(op FoldOp, chunkLo, chunkHi uint64, masks []uint64) uint64 {
+	if op == FoldSum {
+		var buf [bitpack.ChunkSize]uint64
+		var s uint64
+		for c := chunkLo; c < chunkHi; c++ {
+			if m := chunkMask(masks, chunkLo, c); m != 0 {
+				d.DecodeChunk(c, &buf)
+				s = foldSelected(FoldSum, s, &buf, m)
+			}
 		}
-		d.ids.DecodeChunk(c, &buf)
-		for m != 0 {
-			i := uint64(bits.TrailingZeros64(m))
-			s += d.dict[buf[i]]
-			m &= m - 1
-		}
+		return s
 	}
-	return s
-}
-
-// MinChunksMasked folds the selected elements into a minimum, in ID space.
-func (d *DictArray) MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	if bitpack.AllZeroMasks(masks) {
-		return ^uint64(0)
+	if chunkLo >= chunkHi || (masks != nil && bitpack.AllZeroMasks(masks)) {
+		return op.Identity()
 	}
-	return d.dict[d.ids.MinChunksMasked(chunkLo, chunkHi, masks)]
-}
-
-// MaxChunksMasked folds the selected elements into a maximum, in ID space.
-func (d *DictArray) MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	if bitpack.AllZeroMasks(masks) {
-		return 0
-	}
-	return d.dict[d.ids.MaxChunksMasked(chunkLo, chunkHi, masks)]
+	return d.dict[d.ids.FoldChunks(op, chunkLo, chunkHi, masks)]
 }
 
 // ---------------------------------------------------------------------------
@@ -448,38 +405,6 @@ func (r *RLEArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
 	})
 }
 
-// SumChunks folds chunks [chunkLo, chunkHi) into a sum: value times
-// overlap per run.
-func (r *RLEArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
-	var s uint64
-	r.forEachSegment(chunkLo*bitpack.ChunkSize, chunkHi*bitpack.ChunkSize, func(v, _, n uint64) {
-		s += v * n
-	})
-	return s
-}
-
-// MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
-func (r *RLEArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
-	m := ^uint64(0)
-	r.forEachSegment(chunkLo*bitpack.ChunkSize, chunkHi*bitpack.ChunkSize, func(v, _, _ uint64) {
-		if v < m {
-			m = v
-		}
-	})
-	return m
-}
-
-// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-func (r *RLEArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
-	var m uint64
-	r.forEachSegment(chunkLo*bitpack.ChunkSize, chunkHi*bitpack.ChunkSize, func(v, _, _ uint64) {
-		if v > m {
-			m = v
-		}
-	})
-	return m
-}
-
 // CountWhere counts matching elements: one predicate evaluation per run.
 func (r *RLEArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
 	var count uint64
@@ -504,55 +429,27 @@ func (r *RLEArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) 
 	return m
 }
 
-// SumChunksMasked sums the selected elements: per run, intersect the run
-// span with the selection bitmap and popcount.
-func (r *RLEArray) SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	var s uint64
-	r.foldSegmentsMasked(chunkLo, chunkHi, masks, func(v uint64, selected uint64) {
-		s += v * selected
-	})
-	return s
-}
-
-// MinChunksMasked folds the selected elements into a minimum.
-func (r *RLEArray) MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	m := ^uint64(0)
-	r.foldSegmentsMasked(chunkLo, chunkHi, masks, func(v uint64, selected uint64) {
-		if selected > 0 && v < m {
-			m = v
-		}
-	})
-	return m
-}
-
-// MaxChunksMasked folds the selected elements into a maximum.
-func (r *RLEArray) MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	var m uint64
-	r.foldSegmentsMasked(chunkLo, chunkHi, masks, func(v uint64, selected uint64) {
-		if selected > 0 && v > m {
-			m = v
-		}
-	})
-	return m
-}
-
-// foldSegmentsMasked walks runs once across the masked window, reporting
-// each run's value and its count of selected elements.
-func (r *RLEArray) foldSegmentsMasked(chunkLo, chunkHi uint64, masks []uint64, fn func(v uint64, selected uint64)) {
+// FoldChunks folds the selected elements of [chunkLo, chunkHi) once per
+// run: value times the run's selected count for sums, the value itself
+// for min/max when any of the run is selected.
+func (r *RLEArray) FoldChunks(op FoldOp, chunkLo, chunkHi uint64, masks []uint64) uint64 {
+	acc := op.Identity()
 	r.forEachSegment(chunkLo*bitpack.ChunkSize, chunkHi*bitpack.ChunkSize, func(v, start, n uint64) {
-		var selected uint64
-		for n > 0 {
-			chunk := start / bitpack.ChunkSize
-			bit := start % bitpack.ChunkSize
-			take := bitpack.ChunkSize - bit
-			if take > n {
-				take = n
+		selected := n
+		if masks != nil {
+			// Intersect the run's span with the selection, chunk by chunk.
+			selected = 0
+			for n > 0 {
+				chunk := start / bitpack.ChunkSize
+				bit := start % bitpack.ChunkSize
+				take := min(bitpack.ChunkSize-bit, n)
+				m := masks[chunk-chunkLo] >> bit & lowMask(take)
+				selected += uint64(bits.OnesCount64(m))
+				start += take
+				n -= take
 			}
-			m := masks[chunk-chunkLo] >> bit & lowMask(take)
-			selected += uint64(bits.OnesCount64(m))
-			start += take
-			n -= take
 		}
-		fn(v, selected)
+		acc = op.foldN(acc, v, selected)
 	})
+	return acc
 }

@@ -84,14 +84,14 @@ func checkChunkCodec(t *testing.T, cc ChunkCodec, values []uint64, rng *rand.Ran
 				max = v
 			}
 		}
-		if got := cc.SumChunks(win[0], win[1]); got != sum {
-			t.Fatalf("SumChunks%v = %d, want %d", win, got, sum)
+		if got := cc.FoldChunks(FoldSum, win[0], win[1], nil); got != sum {
+			t.Fatalf("FoldChunks(sum)%v = %d, want %d", win, got, sum)
 		}
-		if got := cc.MinChunks(win[0], win[1]); got != min {
-			t.Fatalf("MinChunks%v = %d, want %d", win, got, min)
+		if got := cc.FoldChunks(FoldMin, win[0], win[1], nil); got != min {
+			t.Fatalf("FoldChunks(min)%v = %d, want %d", win, got, min)
 		}
-		if got := cc.MaxChunks(win[0], win[1]); got != max {
-			t.Fatalf("MaxChunks%v = %d, want %d", win, got, max)
+		if got := cc.FoldChunks(FoldMax, win[0], win[1], nil); got != max {
+			t.Fatalf("FoldChunks(max)%v = %d, want %d", win, got, max)
 		}
 		for _, op := range chunkTestCmps {
 			for _, thr := range thresholds {
@@ -154,14 +154,14 @@ func checkChunkCodec(t *testing.T, cc ChunkCodec, values []uint64, rng *rand.Ran
 				max = v
 			}
 		}
-		if got := cc.SumChunksMasked(0, allChunks, masks); got != sum {
-			t.Fatalf("SumChunksMasked trial %d = %d, want %d", trial, got, sum)
+		if got := cc.FoldChunks(FoldSum, 0, allChunks, masks); got != sum {
+			t.Fatalf("masked FoldChunks(sum) trial %d = %d, want %d", trial, got, sum)
 		}
-		if got := cc.MinChunksMasked(0, allChunks, masks); got != min {
-			t.Fatalf("MinChunksMasked trial %d = %d, want %d", trial, got, min)
+		if got := cc.FoldChunks(FoldMin, 0, allChunks, masks); got != min {
+			t.Fatalf("masked FoldChunks(min) trial %d = %d, want %d", trial, got, min)
 		}
-		if got := cc.MaxChunksMasked(0, allChunks, masks); got != max {
-			t.Fatalf("MaxChunksMasked trial %d = %d, want %d", trial, got, max)
+		if got := cc.FoldChunks(FoldMax, 0, allChunks, masks); got != max {
+			t.Fatalf("masked FoldChunks(max) trial %d = %d, want %d", trial, got, max)
 		}
 	}
 }
@@ -312,13 +312,13 @@ func FuzzEncodingRoundTrip(f *testing.F) {
 			if tail := uint64(len(values)) % bitpack.ChunkSize; tail != 0 {
 				masks[chunks-1] = uint64(1)<<tail - 1
 			}
-			if got := cc.SumChunksMasked(0, chunks, masks); got != refSum {
+			if got := cc.FoldChunks(FoldSum, 0, chunks, masks); got != refSum {
 				t.Fatalf("%v: masked sum = %d, want %d", kind, got, refSum)
 			}
-			if got := cc.MinChunksMasked(0, chunks, masks); got != refMin {
+			if got := cc.FoldChunks(FoldMin, 0, chunks, masks); got != refMin {
 				t.Fatalf("%v: masked min = %d, want %d", kind, got, refMin)
 			}
-			if got := cc.MaxChunksMasked(0, chunks, masks); got != refMax {
+			if got := cc.FoldChunks(FoldMax, 0, chunks, masks); got != refMax {
 				t.Fatalf("%v: masked max = %d, want %d", kind, got, refMax)
 			}
 			// Full-chunk prefix via the unmasked folds.
@@ -326,7 +326,7 @@ func FuzzEncodingRoundTrip(f *testing.F) {
 			for _, v := range values[:full*bitpack.ChunkSize] {
 				headSum += v
 			}
-			if got := cc.SumChunks(0, full); got != headSum {
+			if got := cc.FoldChunks(FoldSum, 0, full, nil); got != headSum {
 				t.Fatalf("%v: SumChunks(0, %d) = %d, want %d", kind, full, got, headSum)
 			}
 		}

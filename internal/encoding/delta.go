@@ -129,72 +129,47 @@ func (a *DeltaArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
 	}
 }
 
-// SumChunks folds chunks [chunkLo, chunkHi) into a sum; constant chunks
-// contribute base*64 without decoding.
-func (a *DeltaArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
+// FoldChunks folds the selected elements of [chunkLo, chunkHi); constant
+// chunks fold their base once (times the selected count for sums)
+// without decoding.
+func (a *DeltaArray) FoldChunks(op FoldOp, chunkLo, chunkHi uint64, masks []uint64) uint64 {
 	var buf [bitpack.ChunkSize]uint64
-	var s uint64
+	acc := op.Identity()
 	for c := chunkLo; c < chunkHi; c++ {
+		m := chunkMask(masks, chunkLo, c)
+		if m == 0 {
+			continue
+		}
 		if a.constChunk(c) {
-			s += a.bases.Get(c) * bitpack.ChunkSize
+			acc = op.foldN(acc, a.bases.Get(c), uint64(bits.OnesCount64(m)))
 			continue
 		}
 		a.DecodeChunk(c, &buf)
-		for _, v := range buf {
-			s += v
-		}
+		acc = foldSelected(op, acc, &buf, m)
 	}
-	return s
-}
-
-// MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
-func (a *DeltaArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
-	m := ^uint64(0)
-	a.foldChunks(chunkLo, chunkHi, func(v uint64, n uint64) {
-		if v < m {
-			m = v
-		}
-	})
-	return m
-}
-
-// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-func (a *DeltaArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
-	var m uint64
-	a.foldChunks(chunkLo, chunkHi, func(v uint64, n uint64) {
-		if v > m {
-			m = v
-		}
-	})
-	return m
+	return acc
 }
 
 // CountWhere counts elements matching the predicate; constant chunks are
 // one evaluation for 64 elements.
 func (a *DeltaArray) CountWhere(chunkLo, chunkHi uint64, op bitpack.Cmp, threshold uint64) uint64 {
-	var count uint64
-	a.foldChunks(chunkLo, chunkHi, func(v uint64, n uint64) {
-		if op.Eval(v, threshold) {
-			count += n
-		}
-	})
-	return count
-}
-
-// foldChunks invokes fn(value, multiplicity) — constant chunks once with
-// multiplicity 64, decoded chunks per element with multiplicity 1.
-func (a *DeltaArray) foldChunks(chunkLo, chunkHi uint64, fn func(v uint64, n uint64)) {
 	var buf [bitpack.ChunkSize]uint64
+	var count uint64
 	for c := chunkLo; c < chunkHi; c++ {
 		if a.constChunk(c) {
-			fn(a.bases.Get(c), bitpack.ChunkSize)
+			if op.Eval(a.bases.Get(c), threshold) {
+				count += bitpack.ChunkSize
+			}
 			continue
 		}
 		a.DecodeChunk(c, &buf)
 		for _, v := range buf {
-			fn(v, 1)
+			if op.Eval(v, threshold) {
+				count++
+			}
 		}
 	}
+	return count
 }
 
 // CmpMaskChunk evaluates the predicate over one chunk into a bitmap;
@@ -215,70 +190,4 @@ func (a *DeltaArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64
 		}
 	}
 	return m
-}
-
-// SumChunksMasked sums the selected elements; constant chunks are a
-// popcount times the base.
-func (a *DeltaArray) SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	var buf [bitpack.ChunkSize]uint64
-	var s uint64
-	for c := chunkLo; c < chunkHi; c++ {
-		m := masks[c-chunkLo]
-		if m == 0 {
-			continue
-		}
-		if a.constChunk(c) {
-			s += a.bases.Get(c) * uint64(bits.OnesCount64(m))
-			continue
-		}
-		a.DecodeChunk(c, &buf)
-		for m != 0 {
-			i := uint64(bits.TrailingZeros64(m))
-			s += buf[i]
-			m &= m - 1
-		}
-	}
-	return s
-}
-
-// MinChunksMasked folds the selected elements into a minimum.
-func (a *DeltaArray) MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	m := ^uint64(0)
-	a.foldChunksMasked(chunkLo, chunkHi, masks, func(v uint64) {
-		if v < m {
-			m = v
-		}
-	})
-	return m
-}
-
-// MaxChunksMasked folds the selected elements into a maximum.
-func (a *DeltaArray) MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	var m uint64
-	a.foldChunksMasked(chunkLo, chunkHi, masks, func(v uint64) {
-		if v > m {
-			m = v
-		}
-	})
-	return m
-}
-
-func (a *DeltaArray) foldChunksMasked(chunkLo, chunkHi uint64, masks []uint64, fn func(v uint64)) {
-	var buf [bitpack.ChunkSize]uint64
-	for c := chunkLo; c < chunkHi; c++ {
-		m := masks[c-chunkLo]
-		if m == 0 {
-			continue
-		}
-		if a.constChunk(c) {
-			fn(a.bases.Get(c))
-			continue
-		}
-		a.DecodeChunk(c, &buf)
-		for m != 0 {
-			i := uint64(bits.TrailingZeros64(m))
-			fn(buf[i])
-			m &= m - 1
-		}
-	}
 }

@@ -8,12 +8,13 @@
 // All encodings expose the same read interface over 64-bit unsigned
 // values and report their payload size, so the adaptivity machinery can
 // trade them off. Beyond per-element Get, every encoding implements the
-// ChunkCodec interface (chunk.go): chunk-granular decode plus the fused,
-// masked, and predicate-mask fold hooks mirroring the bitpack kernels
-// (SumChunks, CmpMaskChunk, SumChunksMasked, ...), which is what lets
-// core.SmartArray and the colstore scan pipeline dispatch over the codec
-// instead of assuming bit packing. The encoded forms build on the bitpack
-// codec: dictionary IDs, run values, deltas, and residuals are themselves
+// ChunkCodec interface (chunk.go): chunk decode, predicate count and
+// predicate mask, and one fold (FoldChunks: sum, min or max, masked or
+// not) mirroring the fused bitpack kernels. It is the only surface
+// core.SmartArray's kernels read through — a bit-packed smart array is a
+// BitPackedArray view per placed replica — and batch.go adds gather and
+// range streaming over it. The encoded forms build on the bitpack codec:
+// dictionary IDs, run values, deltas, and residuals are themselves
 // bit-packed at their minimum widths.
 package encoding
 
@@ -138,6 +139,13 @@ func (b *BitPackedArray) PayloadBytes() uint64 { return b.codec.CompressedBytes(
 
 // Bits is the packed width.
 func (b *BitPackedArray) Bits() uint { return b.codec.Bits() }
+
+// NewBitPackedView wraps length elements already packed in data at
+// codec's width, without copying — the view a smart array reads each
+// placed replica through.
+func NewBitPackedView(codec bitpack.Codec, data []uint64, length uint64) *BitPackedArray {
+	return &BitPackedArray{codec: codec, data: data, length: length}
+}
 
 // DictArray stores each element as a bit-packed ID into a sorted
 // dictionary of the distinct values — the standard column-store encoding
@@ -319,34 +327,17 @@ type BulkDecoder interface {
 // per-element Get as the last resort.
 func Decode(e Encoded) []uint64 {
 	out := make([]uint64, e.Length())
-	DecodeSlice(e, out)
-	return out
-}
-
-// DecodeSlice is Decode into a caller-provided slice of Length() elements.
-func DecodeSlice(e Encoded, out []uint64) {
-	n := e.Length()
 	switch d := e.(type) {
-	case *PlainArray:
-		copy(out, d.values)
 	case BulkDecoder:
 		d.DecodeInto(out)
 	case ChunkCodec:
-		var buf [bitpack.ChunkSize]uint64
-		chunks := n / bitpack.ChunkSize
-		for c := uint64(0); c < chunks; c++ {
-			d.DecodeChunk(c, &buf)
-			copy(out[c*bitpack.ChunkSize:], buf[:])
-		}
-		if tail := chunks * bitpack.ChunkSize; tail < n {
-			d.DecodeChunk(chunks, &buf)
-			copy(out[tail:n], buf[:n-tail])
-		}
+		ReadRange(d, 0, d.Length(), out)
 	default:
-		for i := uint64(0); i < n; i++ {
-			out[i] = e.Get(i)
+		for i := range out {
+			out[i] = e.Get(uint64(i))
 		}
 	}
+	return out
 }
 
 // Build constructs the requested encoding of values.

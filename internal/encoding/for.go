@@ -41,9 +41,6 @@ func (f *FoRArray) Kind() Kind { return FoR }
 // Length is the element count.
 func (f *FoRArray) Length() uint64 { return f.length }
 
-// Ref is the reference value (the minimum).
-func (f *FoRArray) Ref() uint64 { return f.ref }
-
 // Bits is the residual width.
 func (f *FoRArray) Bits() uint { return f.resid.Bits() }
 
@@ -67,28 +64,28 @@ func (f *FoRArray) DecodeChunk(chunk uint64, out *[bitpack.ChunkSize]uint64) {
 	}
 }
 
-// SumChunks folds chunks [chunkLo, chunkHi) into a sum: the residual sum
-// plus ref times the element count (pad residuals are zero, so clamping
-// the count to the array length keeps partial tail chunks exact too).
-func (f *FoRArray) SumChunks(chunkLo, chunkHi uint64) uint64 {
-	lo, hi := chunkSpan(f.length, chunkLo, chunkHi)
-	return f.resid.SumChunks(chunkLo, chunkHi) + f.ref*(hi-lo)
-}
-
-// MinChunks folds chunks [chunkLo, chunkHi) into a minimum.
-func (f *FoRArray) MinChunks(chunkLo, chunkHi uint64) uint64 {
-	if chunkLo >= chunkHi {
-		return ^uint64(0)
+// FoldChunks folds the selected elements of [chunkLo, chunkHi) in
+// residual space: sums add ref once per folded element (pad residuals are
+// zero, so clamping the unmasked count to the array length keeps partial
+// tail chunks exact too), min/max add ref to the residual fold unless
+// nothing is selected, so the identity is not offset.
+func (f *FoRArray) FoldChunks(op FoldOp, chunkLo, chunkHi uint64, masks []uint64) uint64 {
+	var n uint64
+	if masks == nil {
+		lo, hi := chunkSpan(f.length, chunkLo, chunkHi)
+		n = hi - lo
+	} else {
+		n = bitpack.PopcountMasks(masks)
 	}
-	return f.ref + f.resid.MinChunks(chunkLo, chunkHi)
-}
-
-// MaxChunks folds chunks [chunkLo, chunkHi) into a maximum.
-func (f *FoRArray) MaxChunks(chunkLo, chunkHi uint64) uint64 {
-	if chunkLo >= chunkHi {
-		return 0
+	resid := f.resid.FoldChunks(op, chunkLo, chunkHi, masks)
+	switch {
+	case op == FoldSum:
+		return resid + f.ref*n
+	case n == 0:
+		return op.Identity()
+	default:
+		return f.ref + resid
 	}
-	return f.ref + f.resid.MaxChunks(chunkLo, chunkHi)
 }
 
 // rewriteThreshold maps a value-space threshold into residual space.
@@ -132,28 +129,4 @@ func (f *FoRArray) CmpMaskChunk(chunk uint64, op bitpack.Cmp, threshold uint64) 
 		return ^uint64(0)
 	}
 	return f.resid.CmpMaskChunk(chunk, op, t)
-}
-
-// SumChunksMasked sums the selected elements: residual masked sum plus
-// ref times the selected count.
-func (f *FoRArray) SumChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	return f.resid.SumChunksMasked(chunkLo, chunkHi, masks) +
-		f.ref*bitpack.PopcountMasks(masks)
-}
-
-// MinChunksMasked folds the selected elements into a minimum (guarding
-// the empty selection so the identity is not offset by ref).
-func (f *FoRArray) MinChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	if bitpack.AllZeroMasks(masks) {
-		return ^uint64(0)
-	}
-	return f.ref + f.resid.MinChunksMasked(chunkLo, chunkHi, masks)
-}
-
-// MaxChunksMasked folds the selected elements into a maximum.
-func (f *FoRArray) MaxChunksMasked(chunkLo, chunkHi uint64, masks []uint64) uint64 {
-	if bitpack.AllZeroMasks(masks) {
-		return 0
-	}
-	return f.ref + f.resid.MaxChunksMasked(chunkLo, chunkHi, masks)
 }

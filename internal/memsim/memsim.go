@@ -486,47 +486,56 @@ func (r *Region) AccountRandom(sh *counters.Shard, n, elemBytes uint64) {
 // fly" restructuring discussed in §6). Data is preserved; the simulated
 // DRAM accounting moves accordingly. Returns the bytes of traffic the
 // migration itself would generate (read + write), so callers can charge it.
+// Migrate rewrites the region's layout, so it must not run concurrently
+// with readers; MigrateTo is the variant for regions under live reads.
 func (r *Region) Migrate(p Placement, socket int) (trafficBytes uint64, err error) {
+	next, trafficBytes, err := r.MigrateTo(p, socket)
+	if err != nil || next == r {
+		return trafficBytes, err
+	}
+	// Adopt next's layout and accounting; r becomes the live region again.
+	r.placement, r.socket, r.replicas = next.placement, next.socket, next.replicas
+	r.pageSocket, r.tally = next.pageSocket, next.tally
+	r.mem.unregisterRegion(next)
+	r.mem.registerRegion(r)
+	r.freed.Store(false)
+	return trafficBytes, nil
+}
+
+// MigrateTo is Migrate into a fresh region: it returns a new region
+// holding r's data at the new placement and frees r, whose slices stay
+// intact for readers that still hold them. The capacity rule is
+// Migrate's: r's accounting is released before the new shape is
+// checked, and on failure r stays allocated and unchanged. A no-op
+// migration returns r itself.
+func (r *Region) MigrateTo(p Placement, socket int) (*Region, uint64, error) {
 	if p == SingleSocket && (socket < 0 || socket >= r.mem.spec.Sockets) {
-		return 0, fmt.Errorf("memsim: socket %d out of range", socket)
+		return nil, 0, fmt.Errorf("memsim: socket %d out of range", socket)
 	}
 	if p == r.placement && (p != SingleSocket || socket == r.socket) {
-		return 0, nil
+		return r, 0, nil
 	}
-	src := r.replicas[0]
-	// Remove old accounting before checking capacity for the new shape.
 	r.mem.account(r, -1)
-	oldPlacement, oldSocket := r.placement, r.socket
-	r.placement = p
-	r.socket = socket
-	if !r.mem.CanAlloc(r.words, p, socket) {
-		r.placement, r.socket = oldPlacement, oldSocket
+	next, err := r.mem.Alloc(r.words, p, socket)
+	if err != nil {
 		r.mem.account(r, +1)
-		return 0, fmt.Errorf("memsim: out of simulated memory migrating to %v", p)
+		return nil, 0, fmt.Errorf("memsim: out of simulated memory migrating to %v", p)
 	}
+	for _, rep := range next.replicas {
+		copy(rep, r.replicas[0])
+	}
+	// r's accounting is already released; retire it without a second
+	// release.
+	r.freed.Store(true)
+	r.mem.unregisterRegion(r)
+	var traffic uint64
 	switch p {
 	case Replicated:
-		reps := make([][]uint64, r.mem.spec.Sockets)
-		reps[0] = src
-		for s := 1; s < r.mem.spec.Sockets; s++ {
-			reps[s] = make([]uint64, r.words)
-			copy(reps[s], src)
-		}
-		r.replicas = reps
-		trafficBytes = 2 * r.words * 8 * uint64(r.mem.spec.Sockets-1)
+		traffic = 2 * r.words * 8 * uint64(r.mem.spec.Sockets-1)
 	case OSDefault:
-		r.replicas = [][]uint64{src}
-		pages := int((r.words + PageWords - 1) / PageWords)
-		r.pageSocket = make([]uint8, pages)
-		for i := range r.pageSocket {
-			r.pageSocket[i] = untouched
-		}
-		trafficBytes = 0
+		// Page homes are set by first touch later: no eager traffic.
 	default:
-		r.replicas = [][]uint64{src}
-		r.pageSocket = nil
-		trafficBytes = 2 * r.words * 8 // pages move through the interconnect
+		traffic = 2 * r.words * 8 // pages move through the interconnect
 	}
-	r.mem.account(r, +1)
-	return trafficBytes, nil
+	return next, traffic, nil
 }
